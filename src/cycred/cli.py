@@ -112,10 +112,10 @@ def _cmd_puzo(ctx, args):
     rep = puzo_witness(u, v)
     sched = collapse_schedule(rep.collapse_input)
     ci = rep.collapse_input
+    uv, vu = ctx.fmt(cyc_product(u, v)), ctx.fmt(cyc_product(v, u))
     doc = {"command": "puzo", "u": ctx.fmt(u), "v": ctx.fmt(v),
            "case": rep.case, "shift": rep.shift,
-           "uv_product": ctx.fmt(cyc_product(u, v)),
-           "vu_product": ctx.fmt(cyc_product(v, u)),
+           "uv_product": uv, "vu_product": vu,
            "perm_terms": sorted(rep.perm_terms),
            "identity": _identity_doc(ctx, rep.identity),
            "uv_trace": _trace_doc(rep.uv_trace),
@@ -127,8 +127,8 @@ def _cmd_puzo(ctx, args):
            "collapse_schedule_length": len(sched)}
     lines = ["case: %d" % rep.case,
              "shift: %d" % rep.shift,
-             "u*v: %s" % ctx.fmt(cyc_product(u, v)),
-             "v*u: %s" % ctx.fmt(cyc_product(v, u)),
+             "u*v: %s" % uv,
+             "v*u: %s" % vu,
              "perm terms: %s" % ",".join(str(i) for i in sorted(rep.perm_terms)),
              "identity: %s" % " ".join("(%s, %s)" % (ctx.fmt(a), ctx.fmt(r))
                                        for a, r in rep.identity.terms),
@@ -222,7 +222,7 @@ def _cmd_closure(ctx, args):
     relators = _read_relators(ctx, args.relators)
     cfg = closure_mod.ClosureConfig(args.maxlen, args.rounds,
                                     include_inverses=not args.no_inverses)
-    state = closure_mod.run(closure_mod.seed(relators, cfg), workers=args.workers)
+    state = closure_mod.run(closure_mod.seed(relators, cfg))
     closure_mod.save(state, args.out)
     doc = {"command": "closure", "relator_count": len(relators),
            "member_count": len(state.members), "rounds_done": state.rounds_done,
@@ -302,7 +302,6 @@ def build_parser():
     sp.add_argument("--rounds", type=int, required=True)
     sp.add_argument("--no-inverses", action="store_true")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--workers", type=int, default=1)
     sp = sub.add_parser("closure-query", help="membership in a saved closure set")
     sp.add_argument("--set", required=True)
     sp.add_argument("word")

@@ -13,16 +13,16 @@ Rounds use semi-naive evaluation: a step multiplies ordered pairs with at
 least one factor in the frontier (the words added by the previous round).
 Under canonical dedup a class stands for all its rotations, and the product
 depends on the actual rotations multiplied, not just their classes, so a
-step expands each pair to all rotation pairs.  Pair lists are sorted and
-per-pair results merged in list order, which keeps the outcome identical
-for any worker count.
+step expands each pair to all rotation pairs.  Pairs are visited in sorted
+(x, y) order and every product is admitted as soon as it is computed, so
+which derivation of a word comes first, and with it its provenance, never
+depends on set iteration order.
 
 With track_provenance, every member carries a sequence of conjugated seed
 relators whose product reduces to exactly that member, built alongside the
 enumeration; it is dropped by save/load.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import FrozenSet, NamedTuple, Optional
 
 from .words import (Alphabet, Word, canonical_rotation, concat, inverse,
@@ -69,14 +69,8 @@ def _reps(core, canonical, h):
     if canonical:
         rep, shift = canonical_rotation(core)
         return [(rep, _rotation_provenance(core, shift, h))]
-    out = []
-    seen = set()
-    for k in range(len(core.letters)):
-        r = rotate(core, k)
-        if r not in seen:
-            seen.add(r)
-            out.append((r, _rotation_provenance(core, k, h)))
-    return out
+    return [(r, _rotation_provenance(core, k, h))
+            for k, r in _rotations_in_order(core)]
 
 
 def _rotations_in_order(w):
@@ -134,7 +128,6 @@ def _pair_products(x, y, hx, hy, cfg, alphabet):
         right = _rotations_in_order(y)
     else:
         left, right = [(0, x)], [(0, y)]
-    out = []
     for i, xr in left:
         hxr = _rotation_provenance(x, i, hx)
         for j, yr in right:
@@ -147,57 +140,39 @@ def _pair_products(x, y, hx, hy, cfg, alphabet):
                 hyr = _rotation_provenance(y, j, hy)
                 h = conjugate(inverse(dec.conjugator),
                               HElement(hxr.terms + hyr.terms, alphabet=alphabet))
-            out.extend(_reps(core, cfg.canonical_dedup, h))
-    return out
+            yield from _reps(core, cfg.canonical_dedup, h)
 
 
-def step(s: ClosureSet, workers: int = 1) -> ClosureSet:
+def step(s: ClosureSet) -> ClosureSet:
     """One full round of products against the frontier."""
     if s.saturated:
         raise ValueError("closure set is already saturated")
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError("workers must be at least 1")
     cfg = s.config
-    ordered = sorted(s.members, key=_word_key)
-    pairs = [(x, y) for x in ordered for y in ordered
-             if x in s.frontier or y in s.frontier]
     prov = s.provenance
-
-    def handle(chunk):
-        got = []
-        for x, y in chunk:
-            hx = prov[x] if prov is not None else None
-            hy = prov[y] if prov is not None else None
-            got.extend(_pair_products(x, y, hx, hy, cfg, s.alphabet))
-        return got
-
-    if workers == 1 or len(pairs) <= 1:
-        produced = handle(pairs)
-    else:
-        size = (len(pairs) + workers - 1) // workers
-        chunks = [pairs[i:i + size] for i in range(0, len(pairs), size)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            produced = []
-            for got in pool.map(handle, chunks):
-                produced.extend(got)
-
     members = set(s.members)
     new_prov = dict(prov) if prov is not None else None
     fresh = set()
-    for rep, h in produced:
-        if rep not in members:
-            members.add(rep)
-            fresh.add(rep)
-            if new_prov is not None:
-                new_prov[rep] = h
+    ordered = sorted(s.members, key=_word_key)
+    for x in ordered:
+        hx = prov[x] if prov is not None else None
+        for y in ordered:
+            if x not in s.frontier and y not in s.frontier:
+                continue
+            hy = prov[y] if prov is not None else None
+            for rep, h in _pair_products(x, y, hx, hy, cfg, s.alphabet):
+                if rep not in members:
+                    members.add(rep)
+                    fresh.add(rep)
+                    if new_prov is not None:
+                        new_prov[rep] = h
     return ClosureSet(s.alphabet, cfg, frozenset(members), frozenset(fresh),
                       s.rounds_done + 1, not fresh, new_prov)
 
 
-def run(s: ClosureSet, workers: int = 1) -> ClosureSet:
+def run(s: ClosureSet) -> ClosureSet:
     """Iterate step until saturation or the round cap."""
     while not s.saturated and s.rounds_done < s.config.max_rounds:
-        s = step(s, workers=workers)
+        s = step(s)
     return s
 
 

@@ -24,11 +24,7 @@ terms i and i+1.
 from typing import NamedTuple, Optional, Tuple
 
 from .words import Word, canonical_rotation, concat, inverse, power
-from .reduction import cyc_reduce, reduce
-
-
-def _rho(w):
-    return reduce(w)[0]
+from .reduction import _rho, cyc_reduce
 
 
 def _rho_seq(*parts):

@@ -67,6 +67,10 @@ def reduce(w: Word):
     return out, CancellationTrace(len(w.letters), tuple(events))
 
 
+def _rho(w):
+    return reduce(w)[0]
+
+
 def cyc_reduce(w: Word):
     """The decomposition rho(w) = t core t^-1 with core cyclically reduced,
     plus the trace extending reduce's by one external event per letter of t."""
@@ -102,39 +106,60 @@ def max_cancellation(u: Word, v: Word) -> MaxCancellation:
     return MaxCancellation(u[:len(u) - k], u[len(u) - k:], v[k:])
 
 
+class _Survivors:
+    """Positions 0..n-1 of a word as a doubly linked list of the positions
+    not yet cancelled; shared by replay_trace and the scheduler whose output
+    it must accept."""
+
+    __slots__ = ("n", "alive", "nxt", "prv", "head", "tail")
+
+    def __init__(self, n):
+        self.n = n
+        self.alive = [True] * n
+        self.nxt = list(range(1, n + 1))
+        self.prv = list(range(-1, n - 1))
+        self.head, self.tail = 0, n - 1
+
+    def ends(self):
+        """The outermost surviving positions."""
+        while self.head < self.n and not self.alive[self.head]:
+            self.head += 1
+        while self.tail >= 0 and not self.alive[self.tail]:
+            self.tail -= 1
+        return self.head, self.tail
+
+    def remove(self, l, r):
+        nxt, prv = self.nxt, self.prv
+        for p in (r, l):
+            self.alive[p] = False
+            if prv[p] >= 0:
+                nxt[prv[p]] = nxt[p]
+            if nxt[p] < self.n:
+                prv[nxt[p]] = prv[p]
+
+
 def replay_trace(w: Word, trace: CancellationTrace) -> Word:
     """Apply the events in order, checking each one, and return the residual."""
     n = len(w.letters)
     if trace.original_length != n:
         raise ValueError("trace expects length %d, word has length %d"
                          % (trace.original_length, n))
-    nxt = list(range(1, n + 1))
-    prv = list(range(-1, n - 1))
-    alive = [True] * n
-    head, tail = 0, n - 1
+    live = _Survivors(n)
+    alive = live.alive
     for idx, e in enumerate(trace.events):
         l, r = e.left_pos, e.right_pos
         ok = 0 <= l < r < n and alive[l] and alive[r] \
             and w.letters[l] == w.letters[r].inverse()
         if ok and e.kind == "internal":
-            ok = nxt[l] == r
+            ok = live.nxt[l] == r
         elif ok and e.kind == "external":
-            while head < n and not alive[head]:
-                head += 1
-            while tail >= 0 and not alive[tail]:
-                tail -= 1
-            ok = head == l and tail == r
+            ok = live.ends() == (l, r)
         elif ok:
             ok = False
         if not ok:
             raise ValueError("invalid event %d: (%d, %d, %s)"
                              % (idx, e.left_pos, e.right_pos, e.kind))
-        for p in (r, l):
-            alive[p] = False
-            if prv[p] >= 0:
-                nxt[prv[p]] = nxt[p]
-            if nxt[p] < n:
-                prv[nxt[p]] = prv[p]
+        live.remove(l, r)
     return Word(w.alphabet, tuple(w.letters[i] for i in range(n) if alive[i]))
 
 
@@ -144,10 +169,7 @@ def _schedule(n, pairs):
     # else the outermost pair as an external event.  Pairs that never become
     # fireable are appended as given; replay will reject them.
     remaining = list(pairs)
-    alive = [True] * n
-    nxt = list(range(1, n + 1))
-    prv = list(range(-1, n - 1))
-    head, tail = 0, n - 1
+    live = _Survivors(n)
     events = []
     progress = True
     while remaining and progress:
@@ -155,26 +177,17 @@ def _schedule(n, pairs):
         best = None
         kind = "internal"
         for (l, r) in remaining:
-            if nxt[l] == r and (best is None or l < best[0]):
+            if live.nxt[l] == r and (best is None or l < best[0]):
                 best = (l, r)
         if best is None:
-            while head < n and not alive[head]:
-                head += 1
-            while tail >= 0 and not alive[tail]:
-                tail -= 1
-            if (head, tail) in remaining:
-                best = (head, tail)
+            ends = live.ends()
+            if ends in remaining:
+                best = ends
                 kind = "external"
         if best is not None:
             remaining.remove(best)
-            l, r = best
-            for p in (r, l):
-                alive[p] = False
-                if prv[p] >= 0:
-                    nxt[prv[p]] = nxt[p]
-                if nxt[p] < n:
-                    prv[nxt[p]] = prv[p]
-            events.append(CancellationEvent(l, r, kind))
+            live.remove(*best)
+            events.append(CancellationEvent(*best, kind))
             progress = True
     for (l, r) in remaining:
         events.append(CancellationEvent(l, r, "internal"))

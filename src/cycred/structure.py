@@ -18,13 +18,9 @@ to free equality; the tests compare plain concatenations.
 from typing import NamedTuple, FrozenSet, Union
 
 from .words import Word, concat, cyclic_shift_between, inverse, is_cyclically_reduced, is_prefix, is_reduced, is_suffix
-from .reduction import (CancellationTrace, cyc_product, cyc_reduce,
-                        max_cancellation, reduce)
+from .reduction import (CancellationTrace, _rho, cyc_product, cyc_reduce,
+                        max_cancellation)
 from .identities import (CollapsehInput, HElement, identity_from_equivalence)
-
-
-def _rho(w):
-    return reduce(w)[0]
 
 
 class ComplicWitness(NamedTuple):
@@ -210,11 +206,10 @@ def _case1_identity(big_u, big_v, u1, a, s, m):
 def puzo_witness(u: Word, v: Word) -> PuzoReport:
     """The full rotation report for u*v versus v*u."""
     case = classify_shirv(u, v)
-    m = cyc_product(u, v)
-    vu = cyc_product(v, u)
-    shift = cyclic_shift_between(m, vu)
-    uv_trace = cyc_reduce(concat(u, v))[1]
-    vu_trace = cyc_reduce(concat(v, u))[1]
+    uv_dec, uv_trace = cyc_reduce(concat(u, v))
+    vu_dec, vu_trace = cyc_reduce(concat(v, u))
+    m = uv_dec.core
+    shift = cyclic_shift_between(m, vu_dec.core)
     if isinstance(case, ShirvCase1):
         identity, cinp = _case1_identity(u, v, case.u1, case.a, case.s, m)
         perm = frozenset((2, 4))

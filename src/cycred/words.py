@@ -77,8 +77,6 @@ class Alphabet:
             else:
                 head, sign = it
                 l = self.letter(head, sign) if isinstance(head, str) else Letter(head, sign)
-            if not (0 <= l.generator < len(self.generators)) or l.sign not in (1, -1):
-                raise ValueError("letter %r outside alphabet" % (l,))
             letters.append(l)
         return Word(self, tuple(letters))
 

@@ -7,6 +7,8 @@ The oracle module works on raw (generator index, sign) tuples; to_tuples and
 from_tuples bridge the two representations.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+import cycred
 from cycred import Alphabet, Letter, Word
 from cycred.syntax import format_compact, parse_compact
 
@@ -37,6 +40,18 @@ def to_tuples(word):
 
 def from_tuples(alphabet, pairs):
     return alphabet.word(pairs)
+
+
+def run_python(args, hashseed=0):
+    """stdout of a child interpreter run with args, importing this cycred,
+    under a fixed PYTHONHASHSEED."""
+    src = str(Path(cycred.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(hashseed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def _letters(alphabet):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from cycred import cli
+from conftest import run_python
 
 
 def run(capsys, *argv):
@@ -135,10 +136,10 @@ def test_closure_round_trip(tmp_path, capsys):
     code, _, err = run(capsys, "closure-query", "--set", str(out), "x$")
     assert code == 2
 
-    code, doc = run_json(capsys, "closure", "--relators", str(rel),
-                         "--maxlen", "4", "--rounds", "8", "--out", str(out),
-                         "--workers", "3")
-    assert doc["member_count"] == 50
+
+def test_import_loads_no_thread_pool():
+    code = "import sys, cycred.cli; print('concurrent.futures' in sys.modules)"
+    assert run_python(["-c", code]) == "False\n"
 
 
 def test_closure_query_uses_saved_alphabet(tmp_path, capsys):

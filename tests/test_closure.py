@@ -1,5 +1,6 @@
 """The product-and-rotation closure enumerator."""
 
+import contextlib
 import io
 
 import pytest
@@ -9,7 +10,7 @@ from cycred import (Alphabet, ClosureConfig, canonical_rotation, cyc_reduce,
 from cycred import closure as cl
 
 import oracles
-from conftest import AB2, AB3, W, F, from_tuples, to_tuples
+from conftest import AB2, AB3, W, F, from_tuples, run_python, to_tuples
 
 
 def _members(relator_texts, max_len, rounds=10, alphabet=AB2, **kw):
@@ -54,9 +55,6 @@ def test_step_guards():
     assert s.saturated
     with pytest.raises(ValueError):
         cl.step(s)
-    fresh = cl.seed([W("x", AB2)], ClosureConfig(2, 5))
-    with pytest.raises(ValueError):
-        cl.step(fresh, workers=0)
 
 
 def test_round_cap():
@@ -109,18 +107,33 @@ def test_contains_over_cap():
     assert res.found is True and res.over_cap is False
 
 
-def test_worker_determinism():
-    cfg = ClosureConfig(4, 10)
-    rels = [W("xy", AB2), W("y", AB2)]
-    states = [cl.run(cl.seed(rels, cfg), workers=k) for k in (1, 2, 3, 8)]
-    blobs = []
-    for s in states:
-        buf = io.StringIO()
-        cl.save(s, buf)
-        blobs.append(buf.getvalue())
-    assert len(set(blobs)) == 1
-    assert all(s.members == states[0].members for s in states)
-    assert all(s.rounds_done == states[0].rounds_done for s in states)
+_MATERIALIZED_PROVENANCE = """
+import io
+from cycred import Alphabet, ClosureConfig
+from cycred import closure as cl
+from cycred.syntax import format_compact as F, parse_compact
+ab = Alphabet("x", "y")
+cfg = ClosureConfig(4, 10, canonical_dedup=False)
+s = cl.run(cl.seed([parse_compact(t, ab) for t in ("xy", "y")], cfg,
+                   track_provenance=True))
+buf = io.StringIO()
+cl.save(s, buf)
+print(buf.getvalue(), end="")
+for m in sorted(s.provenance, key=lambda w: (len(w), F(w))):
+    print(F(m), " ".join("(%s, %s)" % (F(a), F(r)) for a, r in s.provenance[m]))
+"""
+
+
+def test_hash_seed_determinism():
+    """Materialized rotations with provenance: the saved file and every
+    witness are the same in this process and under two fixed hash seeds."""
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        exec(_MATERIALIZED_PROVENANCE, {})
+    dumps = [here.getvalue()] + [run_python(["-c", _MATERIALIZED_PROVENANCE], k)
+                                 for k in (0, 1)]
+    assert "#frontier" in dumps[0]
+    assert len(set(dumps)) == 1
 
 
 def test_save_load_round_trip():

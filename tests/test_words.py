@@ -57,6 +57,10 @@ def test_word_rejects_foreign_letters():
     with pytest.raises(ValueError):
         Word(AB2, (Letter(5, 1),))
     with pytest.raises(ValueError):
+        AB2.word([(5, 1)])
+    with pytest.raises(ValueError):
+        AB2.word([Letter(0, 2)])
+    with pytest.raises(ValueError):
         concat(W("x", AB2), W("x", AB3))
 
 
