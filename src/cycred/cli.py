@@ -27,6 +27,10 @@ from .syntax import (COMPACT_ALPHABET, WordSyntaxError, format_compact,
                      format_spaced, parse_compact, parse_spaced)
 
 
+class _MalformedFile(Exception):
+    """A file argument whose content does not parse or is inconsistent."""
+
+
 class _Ctx:
     def __init__(self, syntax, alphabet):
         self.syntax = syntax
@@ -235,7 +239,10 @@ def _cmd_closure(ctx, args):
 
 
 def _cmd_closure_query(ctx, args):
-    state = closure_mod.load(args.set)
+    try:
+        state = closure_mod.load(args.set)
+    except ValueError as exc:  # load checks only the file, so it is malformed
+        raise _MalformedFile(exc) from None
     w = ctx.parse(args.word, alphabet=state.alphabet)
     res = closure_mod.contains(state, w)
     doc = {"command": "closure-query", "word": ctx.fmt(w),
@@ -323,7 +330,7 @@ def main(argv=None) -> int:
     ctx = _Ctx(args.syntax, alphabet)
     try:
         doc, lines, code = _HANDLERS[args.command](ctx, args)
-    except (WordSyntaxError, json.JSONDecodeError, OSError) as exc:
+    except (WordSyntaxError, json.JSONDecodeError, OSError, _MalformedFile) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -9,20 +9,41 @@ exhausted.  Two dedup conventions are supported: canonical_dedup stores one
 canonical rotation per class, otherwise every rotation is materialized.  The
 empty word is never stored.
 
-Rounds use semi-naive evaluation: a step multiplies ordered pairs with at
-least one factor in the frontier (the words added by the previous round).
+Rounds use semi-naive evaluation: a step multiplies pairs of members with
+at least one factor in the frontier (the words added by the previous round).
 Under canonical dedup a class stands for all its rotations, and the product
 depends on the actual rotations multiplied, not just their classes, so a
-step expands each pair to all rotation pairs.  Pairs are visited in sorted
-(x, y) order and every product is admitted as soon as it is computed, so
-which derivation of a word comes first, and with it its provenance, never
-depends on set iteration order.
+step expands each pair to all rotation pairs.
+
+Each pair is multiplied once, as (x, y) with x <= y in length-then-letter
+order.  That loses nothing: uv and vu are conjugate, by u, so rho_hat(uv)
+and rho_hat(vu) are rotations of each other, and a member set closed under
+rotation (materialized, or a class per canonical rep) gains the same words
+from either order.  The cap check and the stored reps are therefore the
+same for both orders in both dedup modes.
+
+Members are cyclically reduced, and so is each rotation, so in a product of
+two rotations cancellation can only begin at the junction (the last letter
+of the left factor against the first of the right) or around the ends (the
+first letter of the left factor against the last of the right).  When
+neither pair of letters is mutually inverse the product is the plain
+concatenation; if |x| + |y| > max_len it is over the cap, so such rotation
+pairs are skipped before any reduction.
+
+The inner loop works on words coded as tuples of ints (see _code) and
+keeps every rotation of every member, so a product is a duplicate exactly
+when its core is already known.  Only an admitted product is rebuilt as a
+Word, through cyc_reduce and the stored-rep rules, and only then does it get
+its provenance.  Pairs are visited in sorted order and every product is
+admitted as soon as it is computed, so which derivation of a word comes
+first, and with it its provenance, never depends on set iteration order.
 
 With track_provenance, every member carries a sequence of conjugated seed
-relators whose product reduces to exactly that member, built alongside the
-enumeration; it is dropped by save/load.
+relators whose product reduces to exactly that member; it is dropped by
+save/load.
 """
 
+import os
 from typing import FrozenSet, NamedTuple, Optional
 
 from .words import (Alphabet, Word, canonical_rotation, concat, inverse,
@@ -69,19 +90,38 @@ def _reps(core, canonical, h):
     if canonical:
         rep, shift = canonical_rotation(core)
         return [(rep, _rotation_provenance(core, shift, h))]
-    return [(r, _rotation_provenance(core, k, h))
-            for k, r in _rotations_in_order(core)]
+    return [(rotate(core, k), _rotation_provenance(core, k, h))
+            for k, _ in _rotations_in_order(core.letters)]
 
 
-def _rotations_in_order(w):
-    out = []
-    seen = set()
-    for k in range(len(w.letters)):
-        r = rotate(w, k)
-        if r not in seen:
-            seen.add(r)
-            out.append((k, r))
-    return out
+def _rotations_in_order(letters):
+    """The distinct rotations of a letter tuple as (shift, rotation), each
+    with the least shift producing it, in shift order."""
+    out = {}
+    for k in range(len(letters)):
+        out.setdefault(letters[k:] + letters[:k], k)
+    return [(k, r) for r, k in out.items()]
+
+
+def _code(w):
+    """w as a tuple of ints: 2*generator + (sign < 0), so integer order is
+    letter_key order and the inverse of a code c is c ^ 1."""
+    return tuple(2 * l.generator + (l.sign < 0) for l in w.letters)
+
+
+def _cyc_core(a, b):
+    """rho_hat(ab) for reduced codes a and b: cancellation starts at the
+    junction, and what survives it is reduced."""
+    la = len(a)
+    k, m = 0, min(la, len(b))
+    while k < m and a[la - 1 - k] ^ 1 == b[k]:
+        k += 1
+    w = a[:la - k] + b[k:]
+    lo, hi = 0, len(w)
+    while hi - lo >= 2 and w[lo] ^ 1 == w[hi - 1]:
+        lo += 1
+        hi -= 1
+    return w[lo:hi]
 
 
 def seed(relators, config: ClosureConfig, *, track_provenance=False) -> ClosureSet:
@@ -120,27 +160,17 @@ def seed(relators, config: ClosureConfig, *, track_provenance=False) -> ClosureS
     return ClosureSet(alphabet, config, members, members, 0, False, prov)
 
 
-def _pair_products(x, y, hx, hy, cfg, alphabet):
-    """All capped cores arising from rotations of x times rotations of y,
-    with provenance, in a deterministic order."""
-    if cfg.canonical_dedup:
-        left = _rotations_in_order(x)
-        right = _rotations_in_order(y)
-    else:
-        left, right = [(0, x)], [(0, y)]
-    for i, xr in left:
-        hxr = _rotation_provenance(x, i, hx)
-        for j, yr in right:
-            dec, _ = cyc_reduce(concat(xr, yr))
-            core = dec.core
-            if not core.letters or len(core.letters) > cfg.max_len:
-                continue
-            h = None
-            if hx is not None:
-                hyr = _rotation_provenance(y, j, hy)
-                h = conjugate(inverse(dec.conjugator),
-                              HElement(hxr.terms + hyr.terms, alphabet=alphabet))
-            yield from _reps(core, cfg.canonical_dedup, h)
+def _admit(x, i, y, j, prov, canonical):
+    """The stored representatives of rho_hat(rotate(x, i) rotate(y, j)),
+    with provenance built from prov when it is given."""
+    dec, _ = cyc_reduce(concat(rotate(x, i), rotate(y, j)))
+    h = None
+    if prov is not None:
+        hx = _rotation_provenance(x, i, prov[x])
+        hy = _rotation_provenance(y, j, prov[y])
+        h = conjugate(inverse(dec.conjugator),
+                      HElement(hx.terms + hy.terms, alphabet=x.alphabet))
+    return _reps(dec.core, canonical, h)
 
 
 def step(s: ClosureSet) -> ClosureSet:
@@ -148,23 +178,42 @@ def step(s: ClosureSet) -> ClosureSet:
     if s.saturated:
         raise ValueError("closure set is already saturated")
     cfg = s.config
+    cap, canonical = cfg.max_len, cfg.canonical_dedup
     prov = s.provenance
     members = set(s.members)
     new_prov = dict(prov) if prov is not None else None
     fresh = set()
     ordered = sorted(s.members, key=_word_key)
-    for x in ordered:
-        hx = prov[x] if prov is not None else None
-        for y in ordered:
-            if x not in s.frontier and y not in s.frontier:
+    in_frontier = [w in s.frontier for w in ordered]
+    known = set()  # every rotation of every member, as codes
+    factors = []   # per member, the (shift, code) rotations it multiplies as
+    for w in ordered:
+        rots = _rotations_in_order(_code(w))
+        known.update(r for _, r in rots)
+        factors.append(rots if canonical else rots[:1])
+    n = len(ordered)
+    for a in range(n):
+        fa, left, la = in_frontier[a], factors[a], len(ordered[a])
+        for b in range(a, n):
+            if not (fa or in_frontier[b]):
                 continue
-            hy = prov[y] if prov is not None else None
-            for rep, h in _pair_products(x, y, hx, hy, cfg, s.alphabet):
-                if rep not in members:
-                    members.add(rep)
-                    fresh.add(rep)
-                    if new_prov is not None:
-                        new_prov[rep] = h
+            right = factors[b]
+            long_pair = la + len(ordered[b]) > cap
+            for i, xc in left:
+                inv_first, inv_last = xc[0] ^ 1, xc[-1] ^ 1
+                for j, yc in right:
+                    if long_pair and inv_last != yc[0] and inv_first != yc[-1]:
+                        continue
+                    core = _cyc_core(xc, yc)
+                    if not core or len(core) > cap or core in known:
+                        continue
+                    known.update(r for _, r in _rotations_in_order(core))
+                    for rep, h in _admit(ordered[a], i, ordered[b], j, prov,
+                                         canonical):
+                        members.add(rep)
+                        fresh.add(rep)
+                        if new_prov is not None:
+                            new_prov[rep] = h
     return ClosureSet(s.alphabet, cfg, frozenset(members), frozenset(fresh),
                       s.rounds_done + 1, not fresh, new_prov)
 
@@ -207,13 +256,27 @@ def _render(s: ClosureSet) -> str:
 
 
 def save(s: ClosureSet, sink) -> None:
-    """Write the set to a path or text file object; provenance is dropped."""
-    text = _render(s)
+    """Write the set to a path or text file object; provenance is dropped.
+
+    A path is written atomically: the text goes to a new file beside it,
+    which then replaces it, so the path holds the old file or the whole new
+    one, and a save that raises leaves no temporary file behind.
+    """
     if hasattr(sink, "write"):
-        sink.write(text)
-    else:
-        with open(sink, "w", encoding="ascii") as f:
-            f.write(text)
+        sink.write(_render(s))
+        return
+    tmp = "%s.%s.tmp" % (os.fspath(sink), os.urandom(6).hex())
+    try:
+        f = open(tmp, "x", encoding="ascii")
+    except OSError as exc:  # report the path the caller gave, not tmp
+        raise OSError(exc.errno, exc.strerror, os.fspath(sink)) from None
+    try:
+        with f:
+            f.write(_render(s))
+        os.replace(tmp, sink)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _parse_flag(fields, key):
@@ -248,6 +311,9 @@ def load(source) -> ClosureSet:
                            _parse_flag(fields, "canonical"))
     if config.max_len < 1 or config.max_rounds < 1 or rounds_done < 0:
         raise ValueError("closure file: header values out of range")
+    if rounds_done > config.max_rounds:
+        raise ValueError("closure file: rounds=%d exceeds maxrounds=%d"
+                         % (rounds_done, config.max_rounds))
     members, frontier = set(), set()
     into = members
     for ln in lines[1:]:
@@ -268,6 +334,9 @@ def load(source) -> ClosureSet:
         raise ValueError("closure file: missing #frontier marker")
     if not frontier <= members:
         raise ValueError("closure file: frontier is not a subset of members")
+    if saturated and frontier:
+        # step marks a set saturated only when its round admitted nothing
+        raise ValueError("closure file: saturated=1 with a non-empty frontier")
     for w in members:
         if config.canonical_dedup:
             if canonical_rotation(w)[0] != w:

@@ -137,6 +137,26 @@ def test_closure_round_trip(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("edit", [
+    lambda b: b.replace(b"maxlen=4", b"maxlen=zz"),
+    lambda b: b.replace(b" rounds=4 ", b" rounds=99 "),
+    lambda b: b + b"x\n",
+    lambda b: b.replace(b"maxlen=4", b"maxlen=\xc3\xa9"),
+], ids=["bad header", "rounds over maxrounds", "saturated with frontier",
+        "non-ascii"])
+def test_malformed_closure_file_exits_two(tmp_path, capsys, edit):
+    rel = tmp_path / "rels.txt"
+    rel.write_text("xy\ny\n")
+    out = tmp_path / "set.txt"
+    code, _, _ = run(capsys, "closure", "--relators", str(rel), "--maxlen", "4",
+                     "--rounds", "8", "--out", str(out))
+    assert code == 0
+    out.write_bytes(edit(out.read_bytes()))
+    code, stdout, err = run(capsys, "closure-query", "--set", str(out), "x")
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_import_loads_no_thread_pool():
     code = "import sys, cycred.cli; print('concurrent.futures' in sys.modules)"
     assert run_python(["-c", code]) == "False\n"
@@ -171,11 +191,16 @@ def test_alphabet_restriction(capsys):
     capsys.readouterr()
 
 
-def test_exit_code_one_on_domain_errors(capsys):
+def test_exit_code_one_on_domain_errors(tmp_path, capsys):
     code, _, err = run(capsys, "classify", "xy", "YX")
     assert code == 1 and err.startswith("error:")
     code, _, err = run(capsys, "latin", "xy", "yy", "--count", "-2")
     assert code == 1
+    rel = tmp_path / "rels.txt"
+    rel.write_text("# no relators\n")
+    code, _, err = run(capsys, "closure", "--relators", str(rel), "--maxlen", "4",
+                       "--rounds", "8", "--out", str(tmp_path / "set.txt"))
+    assert code == 1 and "relator set is empty" in err
 
 
 def test_empty_word_round_trips(capsys):

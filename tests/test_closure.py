@@ -1,6 +1,7 @@
 """The product-and-rotation closure enumerator."""
 
 import contextlib
+import hashlib
 import io
 
 import pytest
@@ -64,9 +65,10 @@ def test_round_cap():
     assert not s.saturated
 
 
-def _oracle_set(relator_texts, max_len, alphabet=AB2, include_inverses=True):
+def _oracle_set(relator_texts, max_len, alphabet=AB2, include_inverses=True,
+                rounds=None):
     rels = [to_tuples(W(t, alphabet)) for t in relator_texts]
-    return oracles.closure_members(rels, max_len, include_inverses)
+    return oracles.closure_members(rels, max_len, include_inverses, rounds)
 
 
 @pytest.mark.parametrize("relators,max_len", [
@@ -92,6 +94,30 @@ def test_matches_oracle_materialized(relators, max_len):
     assert s.members == expect
 
 
+@pytest.mark.parametrize("canonical", [True, False])
+@pytest.mark.parametrize("relators,max_len,alphabet,inverses", [
+    (["xy", "y"], 4, AB2, True),
+    (["x"], 3, AB2, True),
+    (["xyY", "yx"], 3, AB2, True),
+    (["xxy"], 5, AB2, True),
+    (["xyz", "Y"], 4, AB3, True),
+    (["xy", "y"], 5, AB2, False),
+])
+def test_rounds_match_oracle(relators, max_len, alphabet, inverses, canonical):
+    """The members after each round up to saturation are the oracle's after
+    the same number of rounds."""
+    kw = dict(include_inverses=inverses, canonical_dedup=canonical)
+    last = _members(relators, max_len, 64, alphabet, **kw)
+    assert last.saturated
+    for r in range(1, last.rounds_done + 1):
+        s = _members(relators, max_len, r, alphabet, **kw)
+        expect = {from_tuples(alphabet, t) for t in
+                  _oracle_set(relators, max_len, alphabet, inverses, rounds=r)}
+        if canonical:
+            expect = {canonical_rotation(w)[0] for w in expect}
+        assert s.members == expect, r
+
+
 def test_no_inverses_flag():
     with_inv = _members(["xy"], 2)
     without = _members(["xy"], 2, include_inverses=False)
@@ -107,33 +133,58 @@ def test_contains_over_cap():
     assert res.found is True and res.over_cap is False
 
 
-_MATERIALIZED_PROVENANCE = """
+_PROVENANCE_DUMP = """
 import io
 from cycred import Alphabet, ClosureConfig
 from cycred import closure as cl
 from cycred.syntax import format_compact as F, parse_compact
 ab = Alphabet("x", "y")
-cfg = ClosureConfig(4, 10, canonical_dedup=False)
-s = cl.run(cl.seed([parse_compact(t, ab) for t in ("xy", "y")], cfg,
-                   track_provenance=True))
-buf = io.StringIO()
-cl.save(s, buf)
-print(buf.getvalue(), end="")
-for m in sorted(s.provenance, key=lambda w: (len(w), F(w))):
-    print(F(m), " ".join("(%s, %s)" % (F(a), F(r)) for a, r in s.provenance[m]))
+for canonical in (True, False):
+    cfg = ClosureConfig(4, 10, canonical_dedup=canonical)
+    s = cl.run(cl.seed([parse_compact(t, ab) for t in ("xy", "y")], cfg,
+                       track_provenance=True))
+    buf = io.StringIO()
+    cl.save(s, buf)
+    print(buf.getvalue(), end="")
+    for m in sorted(s.provenance, key=lambda w: (len(w), F(w))):
+        print(F(m), " ".join("(%s, %s)" % (F(a), F(r)) for a, r in s.provenance[m]))
 """
 
 
 def test_hash_seed_determinism():
-    """Materialized rotations with provenance: the saved file and every
-    witness are the same in this process and under two fixed hash seeds."""
+    """Canonical and materialized dedup with provenance: the saved files and
+    every witness are the same in this process and under two fixed hash
+    seeds."""
     here = io.StringIO()
     with contextlib.redirect_stdout(here):
-        exec(_MATERIALIZED_PROVENANCE, {})
-    dumps = [here.getvalue()] + [run_python(["-c", _MATERIALIZED_PROVENANCE], k)
+        exec(_PROVENANCE_DUMP, {})
+    dumps = [here.getvalue()] + [run_python(["-c", _PROVENANCE_DUMP], k)
                                  for k in (0, 1)]
-    assert "#frontier" in dumps[0]
+    assert dumps[0].count("#frontier") == 2
     assert len(set(dumps)) == 1
+
+
+# sha256 of the saved files of relators xy, y over {x, y}, pinned from the
+# engine that multiplied ordered pairs one Word at a time.
+@pytest.mark.parametrize("max_len,max_rounds,options,count,rounds,saturated,digest", [
+    (5, 64, {}, 102, 5, True,
+     "9e8faea82b23a473ff7c5f0b18e6d7198d6bb1cde9007e9c1a658fe40721f776"),
+    (4, 64, {"canonical_dedup": False}, 128, 4, True,
+     "55839c4b9489cd049a148c98ff5666ddd69189a5bf0c98dacc000362c00bc68c"),
+    (5, 2, {}, 56, 2, False,
+     "4275c67f1aeced817bc6a485a20aef78cfff2194528871065588b60db4b8cd37"),
+    (5, 64, {"include_inverses": False}, 13, 4, True,
+     "e748374155e8c3f83ef96b070de7e3858b5ed59d3c54b27aeb6631ff57bb0049"),
+    (6, 64, {}, 234, 5, True,
+     "28c3a516fddfc8ae65d4f919e8a8c384245efa7fd05bc789c0335203677e169b"),
+])
+def test_saved_file_digests(max_len, max_rounds, options, count, rounds,
+                            saturated, digest):
+    s = _members(["xy", "y"], max_len, max_rounds, **options)
+    assert (len(s.members), s.rounds_done, s.saturated) == (count, rounds, saturated)
+    buf = io.StringIO()
+    cl.save(s, buf)
+    assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == digest
 
 
 def test_save_load_round_trip():
@@ -170,10 +221,49 @@ def _mutate_and_load(mutate):
     (lambda ls: [l for l in ls if l != "#frontier"], "missing #frontier"),
     (lambda ls: ls + ["yx"], "frontier is not a subset"),
     (lambda ls: ls[:1] + ["yx"] + ls[1:], "non-canonical"),
+    (lambda ls: [ls[0].replace(" rounds=4 ", " rounds=99 ")] + ls[1:],
+     "rounds=99 exceeds maxrounds=10"),
+    (lambda ls: ls + ["x"], "saturated=1 with a non-empty frontier"),
 ])
 def test_load_rejects_corrupt_files(mutate, fragment):
     with pytest.raises(ValueError, match=fragment):
         _mutate_and_load(mutate)
+
+
+def test_load_accepts_unsaturated_empty_frontier():
+    """A seed whose relators all exceed the cap saves no members, an empty
+    frontier and saturated=0, and that state loads."""
+    s = cl.seed([W("xxxx", AB2)], ClosureConfig(3, 2))
+    buf = io.StringIO()
+    cl.save(s, buf)
+    loaded = cl.load(io.StringIO(buf.getvalue()))
+    assert not loaded.frontier and not loaded.saturated
+
+
+@pytest.mark.parametrize("fault", ["_render", "replace"])
+def test_save_to_path_is_atomic(tmp_path, monkeypatch, fault):
+    path = tmp_path / "set.txt"
+    old, new = _members(["x"], 3), _members(["xy", "y"], 4)
+    cl.save(old, path)
+    before = path.read_bytes()
+
+    def boom(*_):
+        raise RuntimeError("injected")
+    monkeypatch.setattr(cl if fault == "_render" else cl.os, fault, boom)
+    with pytest.raises(RuntimeError, match="injected"):
+        cl.save(new, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["set.txt"]
+
+    monkeypatch.undo()
+    cl.save(new, path)
+    assert cl.load(path).members == new.members
+    assert [p.name for p in tmp_path.iterdir()] == ["set.txt"]
+
+    missing = tmp_path / "no-such-dir" / "set.txt"
+    with pytest.raises(FileNotFoundError) as exc:
+        cl.save(old, missing)
+    assert exc.value.filename == str(missing)
 
 
 def test_load_rejects_empty_member():
