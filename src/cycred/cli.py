@@ -176,25 +176,33 @@ _OP_TYPES = {"exchangeA": lambda e: ExchangeA(_op_pos(e)),
 
 def _op_pos(entry):
     pos = entry.get("pos")
-    if not isinstance(pos, int):
-        raise ValueError("op entry needs an integer pos, got %r" % (pos,))
+    if isinstance(pos, bool) or not isinstance(pos, int):
+        raise _MalformedFile("op entry needs an integer pos, got %r" % (pos,))
     return pos
 
 
 def _cmd_collapse(ctx, args):
-    with open(args.file, "r", encoding="utf-8") as f:
-        data = json.load(f)
-    if not isinstance(data, dict) or "terms" not in data or "ops" not in data:
-        raise ValueError("collapse file must be an object with terms and ops")
+    try:
+        with open(args.file, "r", encoding="utf-8") as f:
+            data = json.load(f)
+    except UnicodeDecodeError as exc:
+        raise _MalformedFile(exc) from None
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list) \
+            or not isinstance(data.get("ops"), list):
+        raise _MalformedFile("collapse file must be an object with terms and "
+                             "ops lists")
     terms = []
     for entry in data["terms"]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError("each term must be a [conjugator, relator] pair")
+        if not isinstance(entry, list) or len(entry) != 2 \
+                or not all(isinstance(t, str) for t in entry):
+            raise _MalformedFile("each term must be a [conjugator, relator] "
+                                 "pair of words, got %r" % (entry,))
         terms.append((ctx.parse(entry[0]), ctx.parse(entry[1])))
     ops = []
     for entry in data["ops"]:
-        if not isinstance(entry, dict) or entry.get("type") not in _OP_TYPES:
-            raise ValueError("bad op entry %r" % (entry,))
+        if not isinstance(entry, dict) or not isinstance(entry.get("type"), str) \
+                or entry["type"] not in _OP_TYPES:
+            raise _MalformedFile("bad op entry %r" % (entry,))
         ops.append(_OP_TYPES[entry["type"]](entry))
     h = HElement(terms, alphabet=ctx.alphabet)
     start_psi = psi(h)

@@ -30,7 +30,7 @@ neither pair of letters is mutually inverse the product is the plain
 concatenation; if |x| + |y| > max_len it is over the cap, so such rotation
 pairs are skipped before any reduction.
 
-The inner loop works on words coded as tuples of ints (see _code) and
+The inner loop works on words coded as tuples of ints (see words._code) and
 keeps every rotation of every member, so a product is a duplicate exactly
 when its core is already known.  Only an admitted product is rebuilt as a
 Word, through cyc_reduce and the stored-rep rules, and only then does it get
@@ -46,8 +46,8 @@ save/load.
 import os
 from typing import FrozenSet, NamedTuple, Optional
 
-from .words import (Alphabet, Word, canonical_rotation, concat, inverse,
-                    is_cyclically_reduced, letter_key, rotate)
+from .words import (Alphabet, Word, _code, canonical_rotation, concat,
+                    inverse, is_cyclically_reduced, letter_key, rotate)
 from .reduction import cyc_reduce
 from .identities import HElement, conjugate
 from .syntax import format_compact, parse_compact
@@ -101,12 +101,6 @@ def _rotations_in_order(letters):
     for k in range(len(letters)):
         out.setdefault(letters[k:] + letters[:k], k)
     return [(k, r) for r, k in out.items()]
-
-
-def _code(w):
-    """w as a tuple of ints: 2*generator + (sign < 0), so integer order is
-    letter_key order and the inverse of a code c is c ^ 1."""
-    return tuple(2 * l.generator + (l.sign < 0) for l in w.letters)
 
 
 def _cyc_core(a, b):
@@ -177,6 +171,9 @@ def step(s: ClosureSet) -> ClosureSet:
     """One full round of products against the frontier."""
     if s.saturated:
         raise ValueError("closure set is already saturated")
+    if s.rounds_done >= s.config.max_rounds:
+        raise ValueError("closure set has done its max_rounds=%d rounds"
+                         % s.config.max_rounds)
     cfg = s.config
     cap, canonical = cfg.max_len, cfg.canonical_dedup
     prov = s.provenance

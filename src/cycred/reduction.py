@@ -24,7 +24,7 @@ rho_hat(w), which the arbitrary-order tests exercise heavily.
 import random
 from typing import NamedTuple, Tuple, Union
 
-from .words import Word, concat, is_reduced
+from .words import Word, _code, concat, is_reduced
 
 
 class CancellationEvent(NamedTuple):
@@ -108,16 +108,17 @@ def max_cancellation(u: Word, v: Word) -> MaxCancellation:
 
 class _Survivors:
     """Positions 0..n-1 of a word as a doubly linked list of the positions
-    not yet cancelled; shared by replay_trace and the scheduler whose output
-    it must accept."""
+    not yet cancelled; shared by replay_trace, the scheduler whose output it
+    must accept, and cancel_any_order.  The words can be long, so the flags
+    are bytes and both link lists share one int object per position."""
 
     __slots__ = ("n", "alive", "nxt", "prv", "head", "tail")
 
     def __init__(self, n):
         self.n = n
-        self.alive = [True] * n
-        self.nxt = list(range(1, n + 1))
-        self.prv = list(range(-1, n - 1))
+        self.alive = bytearray(b"\x01") * n
+        links = list(range(-1, n + 1))
+        self.prv, self.nxt = links[:-2], links[2:]
         self.head, self.tail = 0, n - 1
 
     def ends(self):
@@ -219,7 +220,14 @@ def cancel_any_order(w: Word, chooser: Union[str, int]):
     reproducible random order.  Eligible pairs are every adjacent mutually
     inverse pair among the survivors (internal) and the first/last survivor
     pair when mutually inverse and more than two letters survive (external;
-    with exactly two survivors the same pair is already internal).
+    with exactly two survivors the same pair is already internal).  The
+    candidates are listed internals left to right, then the external one,
+    and a seed draws an index into that list.
+
+    O(n) steps on the letter codes (plus C-level list shifts): the survivors
+    are a _Survivors linked list, the left positions of the internal
+    candidates a sorted list that changes only around each removed pair, and
+    the external candidate a test of the two ends.
     """
     if isinstance(chooser, bool) or not isinstance(chooser, (str, int)):
         raise ValueError("chooser must be a policy name or an integer seed")
@@ -228,40 +236,56 @@ def cancel_any_order(w: Word, chooser: Union[str, int]):
         rng = random.Random(chooser)
     elif chooser not in POLICIES:
         raise ValueError("unknown policy %r" % (chooser,))
-    alive = list(range(len(w.letters)))
-    letters = w.letters
+    code = _code(w)
+    n = len(code)
+    live = _Survivors(n)
+    nxt, prv = live.nxt, live.prv
+    cands = [l for l in range(n - 1) if code[l] ^ 1 == code[l + 1]]
+    # Events take fresh position ints from pos: the caller keeps the trace,
+    # and ints shared with the link lists would keep all their memory in use.
+    pos = range(n)
     events = []
+    left = n
     step = 0
     while True:
-        cands = []
-        for i in range(len(alive) - 1):
-            l, r = alive[i], alive[i + 1]
-            if letters[l] == letters[r].inverse():
-                cands.append(CancellationEvent(l, r, "internal"))
         ext = None
-        if len(alive) > 2 and letters[alive[0]] == letters[alive[-1]].inverse():
-            ext = CancellationEvent(alive[0], alive[-1], "external")
-            cands.append(ext)
-        if not cands:
+        if left > 2:
+            head, tail = live.ends()
+            if code[head] ^ 1 == code[tail]:
+                ext = (head, tail)
+        k = len(cands)
+        if not k and ext is None:
             break
+        # i indexes the candidate list; i == k (or -1) is the external one
         if rng is not None:
-            pick = rng.choice(cands)
-        elif chooser == "internal-first":
-            pick = cands[0]
-        elif chooser == "external-first-when-valid":
-            pick = ext if ext is not None else cands[0]
+            i = rng.choice(range(k + (ext is not None)))
+        elif chooser == "internal-first" or (chooser == "alternating"
+                                             and step % 2 == 0):
+            i = 0
         elif chooser == "rightmost-internal-first":
-            internal = [c for c in cands if c.kind == "internal"]
-            pick = internal[-1] if internal else ext
-        else:  # alternating: even steps prefer internal, odd steps external
-            internal = [c for c in cands if c.kind == "internal"]
-            if step % 2 == 0:
-                pick = internal[0] if internal else ext
-            else:
-                pick = ext if ext is not None else internal[0]
-        events.append(pick)
-        alive.remove(pick.left_pos)
-        alive.remove(pick.right_pos)
+            i = k - 1
+        else:  # external-first-when-valid, and alternating on odd steps
+            i = k if ext is not None else 0
+        if 0 <= i < k:
+            l = cands[i]
+            r = nxt[l]
+            p, q = prv[l], nxt[r]
+            # drop the candidates at p, l and r; p and q become adjacent
+            lo = i - 1 if i and cands[i - 1] == p else i
+            hi = i + 2 if i + 1 < k and cands[i + 1] == r else i + 1
+            del cands[lo:hi]
+            if p >= 0 and q < n and code[p] ^ 1 == code[q]:
+                cands.insert(lo, p)
+            events.append(CancellationEvent(pos[l], pos[r], "internal"))
+        else:
+            l, r = ext
+            if cands and cands[-1] == prv[r]:
+                cands.pop()
+            if cands and cands[0] == l:
+                del cands[0]
+            events.append(CancellationEvent(pos[l], pos[r], "external"))
+        live.remove(l, r)
+        left -= 2
         step += 1
-    out = Word(w.alphabet, tuple(letters[i] for i in alive))
-    return out, CancellationTrace(len(letters), tuple(events))
+    out = Word(w.alphabet, tuple(l for l, a in zip(w.letters, live.alive) if a))
+    return out, CancellationTrace(n, tuple(events))

@@ -165,32 +165,59 @@ def rotate(w: Word, k: int) -> Word:
     return Word(w.alphabet, w.letters[k:] + w.letters[:k])
 
 
+def _code(w):
+    """w as a tuple of ints: 2*generator + (sign < 0), so integer order is
+    letter_key order and the inverse of a code c is c ^ 1.  The rotation
+    kernels here and in cycred.reduction, and the closure's inner loop, all
+    work on these codes."""
+    return tuple(2 * l.generator + (l.sign < 0) for l in w.letters)
+
+
 def cyclic_shift_between(u: Word, v: Word) -> Optional[int]:
-    """The least k >= 0 with rotate(u, k) == v, or None if no rotation works."""
+    """The least k >= 0 with rotate(u, k) == v, or None if no rotation works.
+
+    One substring search of v in u u with its last letter dropped, on the
+    letter codes spelled as a str; the first hit is the least k.  CPython's
+    str.find guards long searches with the linear two-way algorithm, so the
+    cost is O(n)."""
     _same_alphabet(u, v)
     if len(u) != len(v):
         return None
     if len(u) == 0:
         return 0
-    for k in range(len(u)):
-        if u.letters[k:] + u.letters[:k] == v.letters:
-            return k
-    return None
+    su = "".join(map(chr, _code(u)))
+    k = (su + su[:-1]).find("".join(map(chr, _code(v))))
+    return k if k >= 0 else None
 
 
 def canonical_rotation(w: Word):
     """The least rotation of w in letter order, with the least shift achieving
-    it.  Constant on rotation classes, hence usable for deduplication."""
-    n = len(w.letters)
-    if n == 0:
-        return w, 0
-    best, best_k = w.letters, 0
-    key = lambda ls: tuple(letter_key(l) for l in ls)
-    for k in range(1, n):
-        cand = w.letters[k:] + w.letters[:k]
-        if key(cand) < key(best):
-            best, best_k = cand, k
-    return Word(w.alphabet, best), best_k
+    it.  Constant on rotation classes, hence usable for deduplication.
+
+    Two-pointer least-rotation scan (the Booth family; K. S. Booth, IPL
+    1980) over the letter codes, O(n): i and j are the surviving candidate
+    starts, and a mismatch after k equal letters rules out the k + 1 starts
+    beginning at the candidate with the larger letter.  No least start is
+    ever ruled out, and every start below min(i, j) is, so min(i, j) is the
+    least shift."""
+    c = _code(w)
+    n = len(c)
+    c += c
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = c[i + k], c[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    shift = min(i, j)
+    return rotate(w, shift), shift
 
 
 def is_reduced(w: Word) -> bool:

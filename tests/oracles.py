@@ -8,6 +8,7 @@ tests freeze.
 """
 
 import itertools
+import random
 
 
 def inv(letter):
@@ -193,3 +194,74 @@ def random_cyclically_reduced_word(rng, alphabet_size, length):
         if is_cyclically_reduced(w):
             return w
     raise AssertionError("could not sample a cyclically reduced word")
+
+
+def _letter_key(letter):
+    g, s = letter
+    return (g, 0 if s > 0 else 1)
+
+
+def naive_least_rotation(word):
+    """(least rotation in letter order, least shift reaching it), by trying
+    every shift."""
+    if not word:
+        return (), 0
+    key = lambda w: tuple(_letter_key(l) for l in w)
+    k = min(range(len(word)), key=lambda k: (key(rotate(word, k)), k))
+    return rotate(word, k), k
+
+
+def naive_shift_between(u, v):
+    """The least k with rotate(u, k) == v, or None."""
+    if len(u) != len(v):
+        return None
+    if not u:
+        return 0
+    for k in range(len(u)):
+        if rotate(u, k) == v:
+            return k
+    return None
+
+
+def naive_cancel_any_order(word, chooser):
+    """(residual, events) of free cancellation in the order chooser picks:
+    a policy name or an integer seed.  Every step lists the candidates
+    afresh, adjacent inverse survivors left to right and then the outermost
+    pair when it is inverse and more than two letters survive; a seed draws
+    from that list with random.Random(seed).choice.  Events are
+    (left, right, kind) triples."""
+    rng = random.Random(chooser) if isinstance(chooser, int) else None
+    alive = list(range(len(word)))
+    events = []
+    step = 0
+    while True:
+        cands = [(alive[i], alive[i + 1], "internal")
+                 for i in range(len(alive) - 1)
+                 if word[alive[i]] == inv(word[alive[i + 1]])]
+        internal = list(cands)
+        ext = None
+        if len(alive) > 2 and word[alive[0]] == inv(word[alive[-1]]):
+            ext = (alive[0], alive[-1], "external")
+            cands.append(ext)
+        if not cands:
+            break
+        if rng is not None:
+            pick = rng.choice(cands)
+        elif chooser == "internal-first":
+            pick = cands[0]
+        elif chooser == "external-first-when-valid":
+            pick = ext or cands[0]
+        elif chooser == "rightmost-internal-first":
+            pick = internal[-1] if internal else ext
+        elif chooser == "alternating":
+            if step % 2 == 0:
+                pick = internal[0] if internal else ext
+            else:
+                pick = ext or internal[0]
+        else:
+            raise ValueError(chooser)
+        events.append(pick)
+        alive.remove(pick[0])
+        alive.remove(pick[1])
+        step += 1
+    return tuple(word[i] for i in alive), tuple(events)

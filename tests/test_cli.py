@@ -80,6 +80,106 @@ def test_anyorder(capsys):
     capsys.readouterr()
 
 
+# (word, chooser option, exact `cycred --json anyorder` stdout), recorded
+# with the quadratic any-order kernel that the linear one replaced
+_ANYORDER_STDOUT = [
+    ('xXyX', '--policy internal-first',
+     '{"chooser": "internal-first", "command": "anyorder", '
+     '"input": "xXyX", "offset": 0, "result": "yX", '
+     '"trace": {"events": [[0, 1, "internal"]], "original_length": 4}}\n'),
+    ('xXyX', '--policy external-first-when-valid',
+     '{"chooser": "external-first-when-valid", "command": "anyorder", '
+     '"input": "xXyX", "offset": 1, "result": "Xy", '
+     '"trace": {"events": [[0, 3, "external"]], "original_length": 4}}\n'),
+    ('xXyX', '--policy rightmost-internal-first',
+     '{"chooser": "rightmost-internal-first", "command": "anyorder", '
+     '"input": "xXyX", "offset": 0, "result": "yX", '
+     '"trace": {"events": [[0, 1, "internal"]], "original_length": 4}}\n'),
+    ('xXyX', '--policy alternating',
+     '{"chooser": "alternating", "command": "anyorder", "input": "xXyX", '
+     '"offset": 0, "result": "yX", "trace": {"events": [[0, 1, '
+     '"internal"]], "original_length": 4}}\n'),
+    ('xXyX', '--seed 3',
+     '{"chooser": "3", "command": "anyorder", "input": "xXyX", '
+     '"offset": 0, "result": "yX", "trace": {"events": [[0, 1, '
+     '"internal"]], "original_length": 4}}\n'),
+    ('xXyX', '--seed 11',
+     '{"chooser": "11", "command": "anyorder", "input": "xXyX", '
+     '"offset": 1, "result": "Xy", "trace": {"events": [[0, 3, '
+     '"external"]], "original_length": 4}}\n'),
+    ('xyYXxYyzZX', '--policy internal-first',
+     '{"chooser": "internal-first", "command": "anyorder", '
+     '"input": "xyYXxYyzZX", "offset": 0, "result": "1", '
+     '"trace": {"events": [[1, 2, "internal"], [0, 3, "internal"], [5, 6, '
+     '"internal"], [7, 8, "internal"], [4, 9, "internal"]], '
+     '"original_length": 10}}\n'),
+    ('xyYXxYyzZX', '--policy external-first-when-valid',
+     '{"chooser": "external-first-when-valid", "command": "anyorder", '
+     '"input": "xyYXxYyzZX", "offset": 0, "result": "1", '
+     '"trace": {"events": [[0, 9, "external"], [1, 2, "internal"], [3, 4, '
+     '"internal"], [5, 6, "internal"], [7, 8, "internal"]], '
+     '"original_length": 10}}\n'),
+    ('xyYXxYyzZX', '--policy rightmost-internal-first',
+     '{"chooser": "rightmost-internal-first", "command": "anyorder", '
+     '"input": "xyYXxYyzZX", "offset": 0, "result": "1", '
+     '"trace": {"events": [[7, 8, "internal"], [5, 6, "internal"], [4, 9, '
+     '"internal"], [1, 2, "internal"], [0, 3, "internal"]], '
+     '"original_length": 10}}\n'),
+    ('xyYXxYyzZX', '--policy alternating',
+     '{"chooser": "alternating", "command": "anyorder", '
+     '"input": "xyYXxYyzZX", "offset": 0, "result": "1", '
+     '"trace": {"events": [[1, 2, "internal"], [0, 9, "external"], [3, 4, '
+     '"internal"], [5, 6, "internal"], [7, 8, "internal"]], '
+     '"original_length": 10}}\n'),
+    ('xyYXxYyzZX', '--seed 3',
+     '{"chooser": "3", "command": "anyorder", "input": "xyYXxYyzZX", '
+     '"offset": 0, "result": "1", "trace": {"events": [[3, 4, '
+     '"internal"], [5, 6, "internal"], [7, 8, "internal"], [0, 9, '
+     '"external"], [1, 2, "internal"]], "original_length": 10}}\n'),
+    ('xyYXxYyzZX', '--seed 11',
+     '{"chooser": "11", "command": "anyorder", "input": "xyYXxYyzZX", '
+     '"offset": 0, "result": "1", "trace": {"events": [[7, 8, '
+     '"internal"], [0, 9, "external"], [3, 4, "internal"], [1, 2, '
+     '"internal"], [5, 6, "internal"]], "original_length": 10}}\n'),
+    ('XxxXyYzxX', '--policy internal-first',
+     '{"chooser": "internal-first", "command": "anyorder", '
+     '"input": "XxxXyYzxX", "offset": 0, "result": "z", '
+     '"trace": {"events": [[0, 1, "internal"], [2, 3, "internal"], [4, 5, '
+     '"internal"], [7, 8, "internal"]], "original_length": 9}}\n'),
+    ('XxxXyYzxX', '--policy external-first-when-valid',
+     '{"chooser": "external-first-when-valid", "command": "anyorder", '
+     '"input": "XxxXyYzxX", "offset": 0, "result": "z", '
+     '"trace": {"events": [[0, 1, "internal"], [2, 8, "external"], [3, 7, '
+     '"external"], [4, 5, "internal"]], "original_length": 9}}\n'),
+    ('XxxXyYzxX', '--policy rightmost-internal-first',
+     '{"chooser": "rightmost-internal-first", "command": "anyorder", '
+     '"input": "XxxXyYzxX", "offset": 0, "result": "z", '
+     '"trace": {"events": [[7, 8, "internal"], [4, 5, "internal"], [2, 3, '
+     '"internal"], [0, 1, "internal"]], "original_length": 9}}\n'),
+    ('XxxXyYzxX', '--policy alternating',
+     '{"chooser": "alternating", "command": "anyorder", '
+     '"input": "XxxXyYzxX", "offset": 0, "result": "z", '
+     '"trace": {"events": [[0, 1, "internal"], [2, 8, "external"], [4, 5, '
+     '"internal"], [3, 7, "external"]], "original_length": 9}}\n'),
+    ('XxxXyYzxX', '--seed 3',
+     '{"chooser": "3", "command": "anyorder", "input": "XxxXyYzxX", '
+     '"offset": 0, "result": "z", "trace": {"events": [[2, 3, '
+     '"internal"], [7, 8, "internal"], [0, 1, "internal"], [4, 5, '
+     '"internal"]], "original_length": 9}}\n'),
+    ('XxxXyYzxX', '--seed 11',
+     '{"chooser": "11", "command": "anyorder", "input": "XxxXyYzxX", '
+     '"offset": 0, "result": "z", "trace": {"events": [[7, 8, '
+     '"internal"], [4, 5, "internal"], [2, 3, "internal"], [0, 1, '
+     '"internal"]], "original_length": 9}}\n'),
+]
+
+
+@pytest.mark.parametrize("word,option,stdout", _ANYORDER_STDOUT)
+def test_anyorder_stdout_is_pinned(capsys, word, option, stdout):
+    code, out, _ = run(capsys, "--json", "anyorder", word, *option.split())
+    assert code == 0 and out == stdout
+
+
 def test_latin(capsys):
     _, doc = run_json(capsys, "latin", "xy", "yy", "--count", "2")
     assert doc["s"] == "X"
@@ -115,7 +215,33 @@ def test_collapse(tmp_path, capsys):
 
     f.write_text(json.dumps({"terms": [], "ops": [{"type": "warp", "pos": 1}]}))
     code, _, err = run(capsys, "collapse", "--file", str(f))
-    assert code == 1
+    assert code == 2 and "error:" in err
+
+    # a valid document whose op does not apply is a domain failure: exit 1
+    f.write_text(json.dumps({"terms": [["1", "x"]],
+                             "ops": [{"type": "exchangeA", "pos": 5}]}))
+    code, _, err = run(capsys, "collapse", "--file", str(f))
+    assert code == 1 and "error:" in err
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"terms": [[1, "x"]], "ops": []}),
+    json.dumps({"terms": [["1", "x"], ["1", "X"]],
+                "ops": [{"type": "exchangeA", "pos": True}]}),
+    json.dumps([["1", "x"]]),
+    json.dumps({"terms": [["1", "x"]], "ops": [{"type": "warp", "pos": 1}]}),
+    json.dumps({"terms": [["1", "x"]], "ops": [{"type": ["exchangeA"], "pos": 1}]}),
+    json.dumps({"terms": 5, "ops": []}),
+    json.dumps({"terms": [["1", "x"]]}),
+    b'{"terms": [["1", "\xff"]], "ops": []}',
+], ids=["non-string term", "boolean pos", "list document", "unknown op type",
+        "unhashable op type", "terms not a list", "missing ops", "not utf-8"])
+def test_malformed_collapse_document_exits_two(tmp_path, capsys, text):
+    f = tmp_path / "h.json"
+    f.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code, out, err = run(capsys, "collapse", "--file", str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_closure_round_trip(tmp_path, capsys):

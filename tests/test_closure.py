@@ -56,6 +56,11 @@ def test_step_guards():
     assert s.saturated
     with pytest.raises(ValueError):
         cl.step(s)
+    # stepping past the round cap would save a file that load rejects
+    s = cl.step(cl.seed([W("x", AB2)], ClosureConfig(8, 1)))
+    assert s.rounds_done == 1 and not s.saturated
+    with pytest.raises(ValueError, match="max_rounds"):
+        cl.step(s)
 
 
 def test_round_cap():
