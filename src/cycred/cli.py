@@ -23,8 +23,8 @@ from .identities import (Deletion, ExchangeA, ExchangeB, HElement,
                          collapse_schedule, execute, psi)
 from .latin import find_stabilizing_conjugator, latin_pairs
 from . import closure as closure_mod
-from .syntax import (COMPACT_ALPHABET, WordSyntaxError, format_compact,
-                     format_spaced, parse_compact, parse_spaced)
+from .syntax import (COMPACT_ALPHABET, WordSyntaxError, _spaced_names,
+                     format_compact, format_spaced, parse_compact, parse_spaced)
 
 
 class _MalformedFile(Exception):
@@ -331,6 +331,8 @@ def main(argv=None) -> int:
     if args.alphabet is not None:
         try:
             alphabet = Alphabet(*[t for t in args.alphabet.split(",") if t])
+            if args.syntax == "spaced":
+                _spaced_names(alphabet)
         except ValueError as exc:
             parser.error(str(exc))
     else:

@@ -22,20 +22,40 @@ rotation (materialized, or a class per canonical rep) gains the same words
 from either order.  The cap check and the stored reps are therefore the
 same for both orders in both dedup modes.
 
-Members are cyclically reduced, and so is each rotation, so in a product of
-two rotations cancellation can only begin at the junction (the last letter
-of the left factor against the first of the right) or around the ends (the
-first letter of the left factor against the last of the right).  When
-neither pair of letters is mutually inverse the product is the plain
-concatenation; if |x| + |y| > max_len it is over the cap, so such rotation
-pairs are skipped before any reduction.
+Members are cyclically reduced, and so is each rotation, so in a product
+x_i y_j of rotations of x and y cancellation begins at the junction (the
+last letters of x_i against the first of y_j) and goes on around the ends
+(the first letters of x_i against the last of y_j).  The K letters of x
+that cancel against y that way form a cyclic factor of x straddling the cut
+point i, and their inverse is a cyclic factor of y straddling the cut point
+j: a piece, in small-cancellation terms (R. C. Lyndon and P. E. Schupp,
+Combinatorial Group Theory, 1977, ch. V).  If neither factor cancels
+completely, rho_hat(x_i y_j) has |x| + |y| - 2K letters.  If one does, it
+has at most max(|x|, |y|) - min(|x|, |y|) letters, and K = min(|x|, |y|).
 
-The inner loop works on words coded as tuples of ints (see words._code) and
-keeps every rotation of every member, so a product is a duplicate exactly
-when its core is already known.  Only an admitted product is rebuilt as a
-Word, through cyc_reduce and the stored-rep rules, and only then does it get
-its provenance.  Pairs are visited in sorted order and every product is
-admitted as soon as it is computed, so which derivation of a word comes
+So when |x| + |y| > max_len, set c = ceil((|x| + |y| - max_len) / 2).  A
+product within the cap has K >= c: with no complete cancellation that is
+the length count, and otherwise K = min(|x|, |y|) >= c because neither
+|x| nor |y| exceeds max_len.  Then a length-c window of the piece is a
+cyclic factor of x at some p whose inverse occurs in y at some q, and
+(i, j) = (p + k, q + c - k) for a split k in 0..c.  Conversely, at every cut
+pair such a window names, c letters of x cancel against y, or one factor
+cancels completely, so the product is within the cap.  A long pair is
+therefore multiplied only at cut pairs this join on pieces names, and no
+over-cap product is ever computed; a pair within the cap is scanned in
+full.  Of the c + 1 cut pairs one window names, only the least is
+multiplied: the others give rotations of its core (see _cuts), so they
+could only be duplicates.  Under materialized dedup only the cut pair
+(0, 0) is multiplied, and the join reduces to the c + 1 splits straddling
+it.
+
+The inner loop works on words coded as tuples of ints (see words._code),
+spelled as str for the join, and keeps every rotation of every member, so a
+product is a duplicate exactly when its core is already known.  Only an
+admitted product is rebuilt as a Word, through cyc_reduce and the
+stored-rep rules, and only then does it get its provenance.  Member pairs,
+and the cut pairs within each, are visited in sorted order and every product
+is admitted as soon as it is computed, so which derivation of a word comes
 first, and with it its provenance, never depends on set iteration order.
 
 With track_provenance, every member carries a sequence of conjugated seed
@@ -44,10 +64,11 @@ save/load.
 """
 
 import os
+from itertools import product
 from typing import FrozenSet, NamedTuple, Optional
 
 from .words import (Alphabet, Word, _code, canonical_rotation, concat,
-                    inverse, is_cyclically_reduced, letter_key, rotate)
+                    inverse, is_cyclically_reduced, rotate)
 from .reduction import cyc_reduce
 from .identities import HElement, conjugate
 from .syntax import format_compact, parse_compact
@@ -76,7 +97,8 @@ class ContainsResult(NamedTuple):
 
 
 def _word_key(w):
-    return (len(w.letters), tuple(letter_key(l) for l in w.letters))
+    # code order is letter_key order (see words._code)
+    return (len(w.letters), _code(w))
 
 
 def _rotation_provenance(base, shift, h):
@@ -91,16 +113,19 @@ def _reps(core, canonical, h):
         rep, shift = canonical_rotation(core)
         return [(rep, _rotation_provenance(core, shift, h))]
     return [(rotate(core, k), _rotation_provenance(core, k, h))
-            for k, _ in _rotations_in_order(core.letters)]
+            for k in range(len(_rotations(core.letters)))]
 
 
-def _rotations_in_order(letters):
-    """The distinct rotations of a letter tuple as (shift, rotation), each
-    with the least shift producing it, in shift order."""
-    out = {}
-    for k in range(len(letters)):
-        out.setdefault(letters[k:] + letters[:k], k)
-    return [(k, r) for r, k in out.items()]
+def _rotations(letters):
+    """The distinct rotations of a letter tuple, indexed by least shift: for
+    a word of period d they are the rotations by 0, ..., d - 1."""
+    rots = [letters]
+    for k in range(1, len(letters)):
+        r = letters[k:] + letters[:k]
+        if r == letters:
+            break
+        rots.append(r)
+    return rots
 
 
 def _cyc_core(a, b):
@@ -167,6 +192,60 @@ def _admit(x, i, y, j, prov, canonical):
     return _reps(dec.core, canonical, h)
 
 
+def _cuts(x, y, c, every_shift, windows):
+    """Ascending cut pairs (i, j) whose products of rotation i of x and
+    rotation j of y give, up to rotation, every such product in which at
+    least c letters of x cancel against y.
+
+    x and y are step's per-member records (rotations, spelling of the
+    inverse doubled, spelling doubled).  With every_shift, i and j run over
+    the least shifts of the distinct rotations.  A length-c cyclic factor of
+    x at p whose inverse occurs in y at q names, for each split k in 0..c,
+    the cut pair (p + k, q + c - k): the last k letters of the factor end
+    rotation i and cancel the first k letters of rotation j at the junction,
+    and its first c - k letters start rotation i and cancel the last c - k of
+    rotation j around the ends.  Only the least of those c + 1 cut pairs is
+    returned.  Going from (i, j) to (i - 1, j + 1) moves a letter a of the
+    factor from the end of rotation i to its start and a^-1 from the start
+    of rotation j to its end, which conjugates the product by a.  So the
+    other splits give rotations of the least one's core: trivial when it
+    is, and otherwise known to the caller once it has multiplied the least.
+    windows maps c to the inverted length-c factors of x; it is filled here
+    and kept by the caller for as long as x stays the same.
+
+    Without every_shift only (0, 0) is asked about, and the splits straddling
+    both cut points 0 are checked letter by letter.
+    """
+    xrots, xinv, _ = x
+    yrots, _, ys = y
+    if not every_shift:
+        k = 0  # letters cancelling at the junction: x^-1 and y agree
+        while k < c and xinv[k] == ys[k]:
+            k += 1
+        e = 0  # and around the ends: x^-1 and y end alike
+        while e < c - k and xinv[-1 - e] == ys[-1 - e]:
+            e += 1
+        return ((0, 0),) if k + e == c else ()
+    dx, dy = len(xrots), len(yrots)
+    factors = windows.get(c)
+    if factors is None:
+        # the inverse of x's factor at p = -s - c sits at s in x^-1
+        factors = windows[c] = [xinv[s:s + c] for s in range(dx)]
+    text = ys[:dy + c - 1]  # the factors of y starting at q < dy
+    hits = set()
+    for s, f in enumerate(factors):
+        if f not in text:
+            continue
+        q = text.find(f)
+        while q >= 0:
+            i, j = (-s - c) % dx, (q + c) % dy  # split k = 0
+            if i + c >= dx:  # the splits k = -i mod dx, ... reach shift 0
+                i, j = 0, min([(j - k) % dy for k in range(-i % dx, c + 1, dx)])
+            hits.add((i, j))
+            q = text.find(f, q + 1)
+    return sorted(hits) if hits else ()
+
+
 def step(s: ClosureSet) -> ClosureSet:
     """One full round of products against the frontier."""
     if s.saturated:
@@ -180,37 +259,46 @@ def step(s: ClosureSet) -> ClosureSet:
     members = set(s.members)
     new_prov = dict(prov) if prov is not None else None
     fresh = set()
-    ordered = sorted(s.members, key=_word_key)
+    # distinct members have distinct keys, so no two Words are compared
+    keyed = sorted([(_word_key(w), w) for w in s.members])
+    ordered = [w for _, w in keyed]
     in_frontier = [w in s.frontier for w in ordered]
+    lengths = [k[0] for k, _ in keyed]
+    invert = {k: k ^ 1 for k in range(2 * len(s.alphabet))}
     known = set()  # every rotation of every member, as codes
-    factors = []   # per member, the (shift, code) rotations it multiplies as
-    for w in ordered:
-        rots = _rotations_in_order(_code(w))
-        known.update(r for _, r in rots)
-        factors.append(rots if canonical else rots[:1])
+    records = []   # per member, see _cuts
+    for (_, codes), _ in keyed:
+        rots = _rotations(codes)
+        known.update(rots)
+        spelled = "".join(map(chr, codes))
+        inv = spelled[::-1].translate(invert)
+        records.append((rots if canonical else [codes], inv + inv,
+                        spelled + spelled))
     n = len(ordered)
     for a in range(n):
-        fa, left, la = in_frontier[a], factors[a], len(ordered[a])
+        fa, x, la = in_frontier[a], records[a], lengths[a]
+        left, windows = x[0], {}  # windows: see _cuts
         for b in range(a, n):
             if not (fa or in_frontier[b]):
                 continue
-            right = factors[b]
-            long_pair = la + len(ordered[b]) > cap
-            for i, xc in left:
-                inv_first, inv_last = xc[0] ^ 1, xc[-1] ^ 1
-                for j, yc in right:
-                    if long_pair and inv_last != yc[0] and inv_first != yc[-1]:
-                        continue
-                    core = _cyc_core(xc, yc)
-                    if not core or len(core) > cap or core in known:
-                        continue
-                    known.update(r for _, r in _rotations_in_order(core))
-                    for rep, h in _admit(ordered[a], i, ordered[b], j, prov,
-                                         canonical):
-                        members.add(rep)
-                        fresh.add(rep)
-                        if new_prov is not None:
-                            new_prov[rep] = h
+            y = records[b]
+            right = y[0]
+            excess = la + lengths[b] - cap
+            if excess > 0:
+                cuts = _cuts(x, y, (excess + 1) // 2, canonical, windows)
+            else:
+                cuts = product(range(len(left)), range(len(right)))
+            for i, j in cuts:
+                core = _cyc_core(left[i], right[j])
+                if not core or core in known:
+                    continue
+                known.update(_rotations(core))
+                for rep, h in _admit(ordered[a], i, ordered[b], j, prov,
+                                     canonical):
+                    members.add(rep)
+                    fresh.add(rep)
+                    if new_prov is not None:
+                        new_prov[rep] = h
     return ClosureSet(s.alphabet, cfg, frozenset(members), frozenset(fresh),
                       s.rounds_done + 1, not fresh, new_prov)
 

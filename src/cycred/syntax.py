@@ -62,8 +62,19 @@ def format_compact(w: Word) -> str:
                    for l in w.letters)
 
 
+def _spaced_names(alphabet):
+    # an ASCII identifier is never "1", never ends in "^-1" and holds no
+    # whitespace, so every word round-trips
+    for name in alphabet.generators:
+        if not (name.isascii() and name.isidentifier()):
+            raise ValueError(
+                "spaced syntax needs ASCII identifier generator names, got %r"
+                % (name,))
+    return {name: i for i, name in enumerate(alphabet.generators)}
+
+
 def parse_spaced(text: str, alphabet: Alphabet) -> Word:
-    index = {name: i for i, name in enumerate(alphabet.generators)}
+    index = _spaced_names(alphabet)
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -92,6 +103,7 @@ def parse_spaced(text: str, alphabet: Alphabet) -> Word:
 
 
 def format_spaced(w: Word) -> str:
+    _spaced_names(w.alphabet)
     if not w.letters:
         return "1"
     names = w.alphabet.generators

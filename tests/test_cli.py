@@ -308,6 +308,16 @@ def test_spaced_syntax(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("names,word", [("a^-1,b", "b"), ("1,b", "b"),
+                                        ("a b,c", "c")])
+def test_spaced_rejects_names_it_cannot_round_trip(capsys, names, word):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["--syntax", "spaced", "--alphabet", names, "cprod", word, word])
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error:" in out.err and "ASCII identifier" in out.err
+
+
 def test_alphabet_restriction(capsys):
     code, _, err = run(capsys, "--alphabet", "x,y", "reduce", "z")
     assert code == 2

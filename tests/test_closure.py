@@ -5,13 +5,16 @@ import hashlib
 import io
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cycred import (Alphabet, ClosureConfig, canonical_rotation, cyc_reduce,
                     psi, rotate)
 from cycred import closure as cl
 
 import oracles
-from conftest import AB2, AB3, W, F, from_tuples, run_python, to_tuples
+from conftest import (AB2, AB3, W, F, cyc_reduced_words, from_tuples,
+                      run_python, to_tuples)
 
 
 def _members(relator_texts, max_len, rounds=10, alphabet=AB2, **kw):
@@ -123,6 +126,43 @@ def test_rounds_match_oracle(relators, max_len, alphabet, inverses, canonical):
         assert s.members == expect, r
 
 
+@st.composite
+def _relator_sets(draw):
+    alphabet = draw(st.sampled_from((AB2, AB3)))
+    rels = draw(st.lists(cyc_reduced_words(alphabet, 1, 4), min_size=1,
+                         max_size=3))
+    return alphabet, rels
+
+
+# The oracle replays every round from the seed and multiplies all ordered
+# pairs of its rotation-closed set, so rounds are compared only while that
+# set is small.
+_ORACLE_SET_LIMIT = 60
+
+
+@settings(max_examples=150, deadline=None)
+@given(_relator_sets(), st.integers(3, 6), st.booleans(), st.booleans())
+@example((AB2, [W("xyxy", AB2)]), 6, True, True)      # periodic relator
+@example((AB2, [W("xyxy", AB2)]), 6, False, False)
+@example((AB2, [W("xy", AB2), W("YXyy", AB2)]), 4, True, False)  # xy cancels
+@example((AB3, [W("x", AB3), W("XyzY", AB3)]), 4, False, True)  # x, then yY
+def test_random_rounds_match_oracle(case, max_len, canonical, inverses):
+    """Round by round, the members equal the oracle's, for random relator
+    sets; this covers the join on pieces at every c the caps allow."""
+    alphabet, rels = case
+    s = cl.seed(rels, ClosureConfig(max_len, 64, inverses, canonical))
+    tuples = [to_tuples(r) for r in rels]
+    while True:
+        raw = oracles.closure_members(tuples, max_len, inverses, s.rounds_done)
+        expect = {from_tuples(alphabet, t) for t in raw}
+        if canonical:
+            expect = {canonical_rotation(w)[0] for w in expect}
+        assert s.members == expect, s.rounds_done
+        if s.saturated or len(raw) > _ORACLE_SET_LIMIT:
+            break
+        s = cl.step(s)
+
+
 def test_no_inverses_flag():
     with_inv = _members(["xy"], 2)
     without = _members(["xy"], 2, include_inverses=False)
@@ -138,14 +178,13 @@ def test_contains_over_cap():
     assert res.found is True and res.over_cap is False
 
 
-_PROVENANCE_DUMP = """
+_PROVENANCE_DEF = """
 import io
 from cycred import Alphabet, ClosureConfig
 from cycred import closure as cl
 from cycred.syntax import format_compact as F, parse_compact
 ab = Alphabet("x", "y")
-for canonical in (True, False):
-    cfg = ClosureConfig(4, 10, canonical_dedup=canonical)
+def dump(cfg):
     s = cl.run(cl.seed([parse_compact(t, ab) for t in ("xy", "y")], cfg,
                        track_provenance=True))
     buf = io.StringIO()
@@ -153,6 +192,10 @@ for canonical in (True, False):
     print(buf.getvalue(), end="")
     for m in sorted(s.provenance, key=lambda w: (len(w), F(w))):
         print(F(m), " ".join("(%s, %s)" % (F(a), F(r)) for a, r in s.provenance[m]))
+"""
+_PROVENANCE_DUMP = _PROVENANCE_DEF + """
+for canonical in (True, False):
+    dump(ClosureConfig(4, 10, canonical_dedup=canonical))
 """
 
 
@@ -170,7 +213,9 @@ def test_hash_seed_determinism():
 
 
 # sha256 of the saved files of relators xy, y over {x, y}, pinned from the
-# engine that multiplied ordered pairs one Word at a time.
+# engine that multiplied ordered pairs one Word at a time; the maxlen 7
+# canonical and maxlen 6 materialized files from the engine that scanned
+# every rotation pair.
 @pytest.mark.parametrize("max_len,max_rounds,options,count,rounds,saturated,digest", [
     (5, 64, {}, 102, 5, True,
      "9e8faea82b23a473ff7c5f0b18e6d7198d6bb1cde9007e9c1a658fe40721f776"),
@@ -182,6 +227,10 @@ def test_hash_seed_determinism():
      "e748374155e8c3f83ef96b070de7e3858b5ed59d3c54b27aeb6631ff57bb0049"),
     (6, 64, {}, 234, 5, True,
      "28c3a516fddfc8ae65d4f919e8a8c384245efa7fd05bc789c0335203677e169b"),
+    (7, 64, {}, 550, 5, True,
+     "83cfb7f9a475111f55913d2dddfc5e4432692c96ed7087fff3846d7c02dbebf2"),
+    (6, 64, {"canonical_dedup": False}, 1104, 5, True,
+     "1381eb111ff8f64b1455e438e4dbc7e769d1db3dad30da9b51b868c9e4735017"),
 ])
 def test_saved_file_digests(max_len, max_rounds, options, count, rounds,
                             saturated, digest):
@@ -190,6 +239,40 @@ def test_saved_file_digests(max_len, max_rounds, options, count, rounds,
     buf = io.StringIO()
     cl.save(s, buf)
     assert hashlib.sha256(buf.getvalue().encode("ascii")).hexdigest() == digest
+
+
+# sha256 of what _PROVENANCE_DEF's dump prints, pinned from the engine that
+# scanned every rotation pair: the witnesses fix the order in which products
+# are admitted, which the maxlen 4 dump above barely exercises.
+@pytest.mark.parametrize("config,digest", [
+    (ClosureConfig(6, 64),
+     "18773aaa6948ce7089326e19994a9332f7ac1c1d2e6ae078149051903153aafd"),
+    (ClosureConfig(5, 64, canonical_dedup=False),
+     "4fd4695156ed831807d03b9f16d1c9459aa73c4fcc3a44e2ffe1ffa5471bc383"),
+])
+def test_provenance_digests(config, digest):
+    scope = {}
+    exec(_PROVENANCE_DEF, scope)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        scope["dump"](config)
+    assert hashlib.sha256(out.getvalue().encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("max_len,canonical", [(7, True), (6, False)])
+def test_no_over_cap_product(monkeypatch, max_len, canonical):
+    """The join names every cut pair whose product is within the cap and no
+    other, so the step never computes a product it then throws away (the
+    rotation-pair scan computed 1,834,120 over-cap products at maxlen 7)."""
+    kernel, lengths = cl._cyc_core, []
+
+    def recording(a, b):
+        core = kernel(a, b)
+        lengths.append(len(core))
+        return core
+    monkeypatch.setattr(cl, "_cyc_core", recording)
+    _members(["xy", "y"], max_len, 64, canonical_dedup=canonical)
+    assert lengths and max(lengths) <= max_len
 
 
 def test_save_load_round_trip():

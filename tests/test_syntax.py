@@ -58,6 +58,16 @@ def test_spaced_errors():
         parse_spaced("alpha 1", greek)
 
 
+@pytest.mark.parametrize("names", [("a^-1", "b"), ("1", "b"), ("a b", "c"),
+                                   ("\u03b1", "b")])
+def test_spaced_needs_ascii_identifier_names(names):
+    ab = Alphabet(*names)
+    with pytest.raises(ValueError, match="ASCII identifier"):
+        parse_spaced("b", ab)
+    with pytest.raises(ValueError, match="ASCII identifier"):
+        format_spaced(ab.word([(1, 1)]))
+
+
 @given(words(AB4, max_len=14))
 def test_compact_round_trip(w):
     assert parse_compact(format_compact(w), AB4) == w
