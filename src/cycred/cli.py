@@ -23,8 +23,9 @@ from .identities import (Deletion, ExchangeA, ExchangeB, HElement,
                          collapse_schedule, execute, psi)
 from .latin import find_stabilizing_conjugator, latin_pairs
 from . import closure as closure_mod
-from .syntax import (COMPACT_ALPHABET, WordSyntaxError, _spaced_names,
-                     format_compact, format_spaced, parse_compact, parse_spaced)
+from .syntax import (COMPACT_ALPHABET, WordSyntaxError, _compact_names,
+                     _spaced_names, format_compact, format_spaced, parse_compact,
+                     parse_spaced)
 
 
 class _MalformedFile(Exception):
@@ -221,12 +222,16 @@ def _cmd_collapse(ctx, args):
 
 
 def _read_relators(ctx, path):
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError as exc:
+        raise _MalformedFile(exc) from None
     out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for ln in f:
-            ln = ln.strip()
-            if ln and not ln.startswith("#"):
-                out.append(ctx.parse(ln))
+    for ln in lines:
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
+            out.append(ctx.parse(ln))
     return out
 
 
@@ -333,6 +338,8 @@ def main(argv=None) -> int:
             alphabet = Alphabet(*[t for t in args.alphabet.split(",") if t])
             if args.syntax == "spaced":
                 _spaced_names(alphabet)
+            else:
+                _compact_names(alphabet)
         except ValueError as exc:
             parser.error(str(exc))
     else:

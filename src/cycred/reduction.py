@@ -12,9 +12,9 @@ events pairing positions of the original word.  An event is internal when
 the two positions were adjacent among surviving positions at the moment of
 removal, external when they were the outermost surviving positions.  Traces
 replay against the original word with full validity checking, and they
-rotate: positions are shifted modulo the length and the events re-sequenced
-by a fixed scheduler, because a pair that is internal for uv may be external
-for vu and vice versa.
+rotate: positions are shifted modulo the length and the events re-ordered,
+leftmost internal pair first, by cancel_any_order's loop in linear time,
+because a pair that is internal for uv may be external for vu and vice versa.
 
 cancel_any_order removes one eligible pair at a time in an order picked by a
 named policy or a seeded RNG; the residual is always a cyclic rotation of
@@ -49,49 +49,65 @@ class MaxCancellation(NamedTuple):
     v1: Word
 
 
-def _reduce_stack(w):
-    stack = []  # (letter, original position)
-    events = []
-    for pos, letter in enumerate(w.letters):
-        if stack and stack[-1][0] == letter.inverse():
-            events.append(CancellationEvent(stack.pop()[1], pos, "internal"))
+def _reduce(code, events=None):
+    """The positions of code that survive free reduction, in order: a letter
+    cancels the top of a stack of positions when it is its inverse.  Given a
+    list, appends one internal event per cancelled pair."""
+    stack = []
+    for pos, c in enumerate(code):
+        if stack and code[stack[-1]] ^ 1 == c:
+            l = stack.pop()
+            if events is not None:
+                events.append(CancellationEvent(l, pos, "internal"))
         else:
-            stack.append((letter, pos))
-    return stack, events
+            stack.append(pos)
+    return stack
+
+
+def _cyc(code, events=None):
+    """The positions of the conjugator and of the core; given a list, appends
+    _reduce's events and one external event per pair of ends stripped."""
+    keep = _reduce(code, events)
+    lo, hi = 0, len(keep)
+    while hi - lo >= 2 and code[keep[lo]] ^ 1 == code[keep[hi - 1]]:
+        if events is not None:
+            events.append(CancellationEvent(keep[lo], keep[hi - 1], "external"))
+        lo += 1
+        hi -= 1
+    return keep[:lo], keep[lo:hi]
+
+
+def _pick(w, positions):
+    return Word(w.alphabet, map(w.letters.__getitem__, positions))
 
 
 def reduce(w: Word):
     """rho(w) together with the (internal-only) trace that produced it."""
-    stack, events = _reduce_stack(w)
-    out = Word(w.alphabet, tuple(l for l, _ in stack))
-    return out, CancellationTrace(len(w.letters), tuple(events))
+    events = []
+    keep = _reduce(_code(w), events)
+    return _pick(w, keep), CancellationTrace(len(w.letters), tuple(events))
 
 
 def _rho(w):
-    return reduce(w)[0]
+    return _pick(w, _reduce(_code(w)))
 
 
 def cyc_reduce(w: Word):
     """The decomposition rho(w) = t core t^-1 with core cyclically reduced,
     plus the trace extending reduce's by one external event per letter of t."""
-    stack, events = _reduce_stack(w)
-    lo, hi = 0, len(stack)
-    while hi - lo >= 2 and stack[lo][0] == stack[hi - 1][0].inverse():
-        events.append(CancellationEvent(stack[lo][1], stack[hi - 1][1], "external"))
-        lo += 1
-        hi -= 1
-    conjugator = Word(w.alphabet, tuple(l for l, _ in stack[:lo]))
-    core = Word(w.alphabet, tuple(l for l, _ in stack[lo:hi]))
-    return (CycRedDecomposition(conjugator, core),
+    events = []
+    t, core = _cyc(_code(w), events)
+    return (CycRedDecomposition(_pick(w, t), _pick(w, core)),
             CancellationTrace(len(w.letters), tuple(events)))
 
 
 def reduced_product(u: Word, v: Word) -> Word:
-    return reduce(concat(u, v))[0]
+    return _rho(concat(u, v))
 
 
 def cyc_product(u: Word, v: Word) -> Word:
-    return cyc_reduce(concat(u, v))[0].core
+    w = concat(u, v)
+    return _pick(w, _cyc(_code(w))[1])
 
 
 def max_cancellation(u: Word, v: Word) -> MaxCancellation:
@@ -108,8 +124,8 @@ def max_cancellation(u: Word, v: Word) -> MaxCancellation:
 
 class _Survivors:
     """Positions 0..n-1 of a word as a doubly linked list of the positions
-    not yet cancelled; shared by replay_trace, the scheduler whose output it
-    must accept, and cancel_any_order.  The words can be long, so the flags
+    not yet cancelled; shared by replay_trace and the cancellation loop,
+    whose output it must accept.  The words can be long, so the flags
     are bytes and both link lists share one int object per position."""
 
     __slots__ = ("n", "alive", "nxt", "prv", "head", "tail")
@@ -164,51 +180,6 @@ def replay_trace(w: Word, trace: CancellationTrace) -> Word:
     return Word(w.alphabet, tuple(w.letters[i] for i in range(n) if alive[i]))
 
 
-def _schedule(n, pairs):
-    # Re-sequence removal pairs so that each fires as a valid event:
-    # innermost (adjacent-among-survivors) first with leftmost tie-break,
-    # else the outermost pair as an external event.  Pairs that never become
-    # fireable are appended as given; replay will reject them.
-    remaining = list(pairs)
-    live = _Survivors(n)
-    events = []
-    progress = True
-    while remaining and progress:
-        progress = False
-        best = None
-        kind = "internal"
-        for (l, r) in remaining:
-            if live.nxt[l] == r and (best is None or l < best[0]):
-                best = (l, r)
-        if best is None:
-            ends = live.ends()
-            if ends in remaining:
-                best = ends
-                kind = "external"
-        if best is not None:
-            remaining.remove(best)
-            live.remove(*best)
-            events.append(CancellationEvent(*best, kind))
-            progress = True
-    for (l, r) in remaining:
-        events.append(CancellationEvent(l, r, "internal"))
-    return tuple(events)
-
-
-def rotate_trace(trace: CancellationTrace, shift: int) -> CancellationTrace:
-    """Shift every position by shift modulo the original length and
-    re-sequence; each event's internal/external kind is recomputed."""
-    n = trace.original_length
-    if n == 0:
-        return trace
-    pairs = []
-    for e in trace.events:
-        a = (e.left_pos + shift) % n
-        b = (e.right_pos + shift) % n
-        pairs.append((min(a, b), max(a, b)))
-    return CancellationTrace(n, _schedule(n, pairs))
-
-
 POLICIES = ("internal-first", "external-first-when-valid",
             "rightmost-internal-first", "alternating")
 
@@ -222,13 +193,7 @@ def cancel_any_order(w: Word, chooser: Union[str, int]):
     pair when mutually inverse and more than two letters survive (external;
     with exactly two survivors the same pair is already internal).  The
     candidates are listed internals left to right, then the external one,
-    and a seed draws an index into that list.
-
-    O(n) steps on the letter codes (plus C-level list shifts): the survivors
-    are a _Survivors linked list, the left positions of the internal
-    candidates a sorted list that changes only around each removed pair, and
-    the external candidate a test of the two ends.
-    """
+    and a seed draws an index into that list."""
     if isinstance(chooser, bool) or not isinstance(chooser, (str, int)):
         raise ValueError("chooser must be a policy name or an integer seed")
     rng = None
@@ -236,7 +201,17 @@ def cancel_any_order(w: Word, chooser: Union[str, int]):
         rng = random.Random(chooser)
     elif chooser not in POLICIES:
         raise ValueError("unknown policy %r" % (chooser,))
-    code = _code(w)
+    alive, events = _cancel(_code(w), chooser, rng)
+    out = Word(w.alphabet, tuple(l for l, a in zip(w.letters, alive) if a))
+    return out, CancellationTrace(len(w.letters), tuple(events))
+
+
+def _cancel(code, chooser, rng):
+    """cancel_any_order's loop on codes, returning (alive flags, events).
+    O(n) steps (plus C-level list shifts): the survivors are a _Survivors
+    linked list, the left positions of the internal candidates a sorted list
+    that changes only around each removed pair, and the external candidate a
+    test of the two ends."""
     n = len(code)
     live = _Survivors(n)
     nxt, prv = live.nxt, live.prv
@@ -287,5 +262,29 @@ def cancel_any_order(w: Word, chooser: Union[str, int]):
         live.remove(l, r)
         left -= 2
         step += 1
-    out = Word(w.alphabet, tuple(l for l, a in zip(w.letters, live.alive) if a))
-    return out, CancellationTrace(n, tuple(events))
+    return live.alive, events
+
+
+def rotate_trace(trace: CancellationTrace, shift: int) -> CancellationTrace:
+    """Shift every position by shift modulo the original length and
+    re-order; each event's internal/external kind is recomputed.  The
+    re-ordering is _cancel under "internal-first" on labels: pair i is
+    labelled 2i and 2i + 1 and every other position -1, whose partner -2 is
+    no label, so only the given pairs cancel.  Pairs that never fire are
+    appended as given; replay will reject them."""
+    n = trace.original_length
+    if n == 0:
+        return trace
+    label = [-1] * n
+    pairs = []
+    for i, e in enumerate(trace.events):
+        a, b = sorted(((e.left_pos + shift) % n, (e.right_pos + shift) % n))
+        label[a], label[b] = 2 * i, 2 * i + 1
+        pairs.append((a, b))
+    _, events = _cancel(label, "internal-first", None)
+    fired = bytearray(len(pairs))
+    for e in events:
+        fired[label[e.left_pos] >> 1] = 1
+    events += [CancellationEvent(a, b, "internal")
+               for (a, b), done in zip(pairs, fired) if not done]
+    return CancellationTrace(n, tuple(events))

@@ -265,3 +265,29 @@ def naive_cancel_any_order(word, chooser):
         alive.remove(pick[1])
         step += 1
     return tuple(word[i] for i in alive), tuple(events)
+
+
+def naive_schedule(n, pairs):
+    """Events (left, right, kind) that cancel the given position pairs of a
+    word of length n: at each step the leftmost pair adjacent among the
+    survivors, as internal, else the pair of the two outermost survivors, as
+    external.  Pairs that never fire are appended as given, as internal.
+    Meant for pairs that name each position at most once."""
+    alive = list(range(n))
+    remaining = list(pairs)
+    events = []
+    while remaining:
+        rank = {p: i for i, p in enumerate(alive)}
+        adjacent = [(l, r) for l, r in remaining
+                    if l in rank and r in rank and rank[r] == rank[l] + 1]
+        if adjacent:
+            pick, kind = min(adjacent), "internal"
+        elif len(alive) > 1 and (alive[0], alive[-1]) in remaining:
+            pick, kind = (alive[0], alive[-1]), "external"
+        else:
+            break
+        remaining.remove(pick)
+        alive.remove(pick[0])
+        alive.remove(pick[1])
+        events.append(pick + (kind,))
+    return tuple(events) + tuple((l, r, "internal") for l, r in remaining)

@@ -1,10 +1,18 @@
 """End-to-end checks of the command-line interface."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycred import cli
+from cycred import closure as closure_mod
+from cycred.syntax import COMPACT_ALPHABET, parse_compact
 from conftest import run_python
 
 
@@ -318,6 +326,27 @@ def test_spaced_rejects_names_it_cannot_round_trip(capsys, names, word):
     assert out.out == "" and "error:" in out.err and "ASCII identifier" in out.err
 
 
+@pytest.mark.parametrize("names,argv", [("ab,c", ["cprod", "c", "c"]),
+                                        ("alpha,beta", ["reduce", "ab"])])
+def test_compact_rejects_names_it_cannot_spell(capsys, names, argv):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["--alphabet", names] + argv)
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "single-character a-z" in out.err
+
+
+def test_non_utf8_relators_exit_two(tmp_path, capsys):
+    rel = tmp_path / "bad.txt"
+    rel.write_bytes(b"xy\n\xff\xfe\n")
+    out = tmp_path / "set.txt"
+    code, stdout, err = run(capsys, "closure", "--relators", str(rel),
+                            "--maxlen", "3", "--rounds", "3", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_alphabet_restriction(capsys):
     code, _, err = run(capsys, "--alphabet", "x,y", "reduce", "z")
     assert code == 2
@@ -344,3 +373,129 @@ def test_empty_word_round_trips(capsys):
     assert code == 0 and out.strip() == "1"
     _, doc = run_json(capsys, "reduce", "1")
     assert doc["reduced"] == "1"
+
+
+# Fuzz of main over the 11 subcommands and the global options.  Junk text
+# holds no "h", so that no argument can spell -h or an abbreviation of
+# --help, the one way argparse exits 0 without running a subcommand.
+_JUNK = "xyzXYZabAB1 ^-$,\t\u00e9"
+_WORD = st.one_of(
+    st.text("xyzXYZabAB1", min_size=1, max_size=8),
+    st.lists(st.sampled_from(["x", "x^-1", "y", "y^-1", "u", "v^-1", "1"]),
+             min_size=1, max_size=6).map(" ".join),
+    st.text(_JUNK, max_size=8))
+_NAMES = st.one_of(
+    st.none(),
+    st.sampled_from(["x,y,z", "a,b", "u,v", "ab,c", "alpha,beta", "x,x",
+                     "a^-1,b", ",", ""]),
+    st.text(_JUNK, max_size=6))
+_COLLAPSE_DOC = st.builds(
+    lambda terms, ops: json.dumps({"terms": terms, "ops": ops}).encode(),
+    st.lists(st.lists(_WORD, min_size=2, max_size=2), max_size=4),
+    st.lists(st.fixed_dictionaries({
+        "type": st.sampled_from(["exchangeA", "exchangeB", "deletion", "warp"]),
+        "pos": st.integers(-1, 4),
+        "kind": st.sampled_from(["general", "semiPeiffer", "bogus"])}),
+        max_size=4))
+_LINES = st.lists(_WORD, max_size=4).map(lambda ls: "\n".join(ls).encode())
+# an input file is a head (None: a valid saved closure file) and a tail of
+# random bytes
+_FILE = st.tuples(st.one_of(st.binary(max_size=40), _LINES, _COLLAPSE_DOC,
+                            st.none()),
+                  st.binary(max_size=8))
+
+
+@st.composite
+def _invocations(draw):
+    """(argv, the --alphabet value or None, whether the syntax is spaced,
+    the input file's (head, tail))."""
+    argv, names = [], draw(_NAMES)
+    syntax = draw(st.sampled_from([None, "compact", "spaced"]))
+    if syntax:
+        argv += ["--syntax", syntax]
+    if names is not None:
+        argv += ["--alphabet", names]
+    if draw(st.booleans()):
+        argv.append("--json")
+    # the three subcommands that read a file get about half the draws
+    cmd = draw(st.sampled_from(sorted(cli._HANDLERS))
+               | st.sampled_from(["collapse", "closure", "closure-query"]))
+    argv.append(cmd)
+    data = draw(_FILE)
+    if cmd in ("reduce", "cycreduce"):
+        argv.append(draw(_WORD))
+    elif cmd in ("prod", "cprod", "classify", "puzo"):
+        argv += [draw(_WORD), draw(_WORD)]
+    elif cmd == "anyorder":
+        argv.append(draw(_WORD))
+        argv += draw(st.sampled_from([[], ["--policy", "alternating"],
+                                      ["--policy", "bogus"], ["--seed", "3"],
+                                      ["--seed", "x"]]))
+    elif cmd == "latin":
+        argv += [draw(_WORD), draw(_WORD), "--count", str(draw(st.integers(-1, 3)))]
+    elif cmd == "collapse":
+        argv += ["--file", "IN"]
+    elif cmd == "closure":
+        argv += ["--relators", "IN", "--maxlen", str(draw(st.integers(0, 5))),
+                 "--rounds", str(draw(st.integers(0, 3))),
+                 "--out", draw(st.sampled_from(["OUT", "DIR", "MISSING/OUT"]))]
+        if draw(st.booleans()):
+            argv.append("--no-inverses")
+    else:
+        argv += ["--set", draw(st.sampled_from(["IN", "MISSING"])), draw(_WORD)]
+    return argv, names, syntax == "spaced", data
+
+
+def _names_malformed(names, spaced):
+    gens = [t for t in names.split(",") if t]
+    if len(set(gens)) != len(gens):
+        return True
+    if spaced:
+        return not all(g.isascii() and g.isidentifier() for g in gens)
+    return not all(len(g) == 1 and "a" <= g <= "z" for g in gens)
+
+
+def _utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@settings(max_examples=250, deadline=None)
+@given(_invocations())
+def test_main_fuzz_honors_exit_codes(inv):
+    """Exit 0, 1 or 2 and never a traceback; malformed alphabet names and a
+    file that is not UTF-8 exit 2."""
+    argv, names, spaced, (head, tail) = inv
+    reads_input = "IN" in argv
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in")
+        if head is None:
+            rel = [parse_compact("xy", COMPACT_ALPHABET)]
+            state = closure_mod.run(closure_mod.seed(
+                rel, closure_mod.ClosureConfig(3, 2)))
+            closure_mod.save(state, path)
+            with open(path, "rb") as f:
+                head = f.read()
+        data = head + tail
+        with open(path, "wb") as f:
+            f.write(data)
+        places = {"IN": path, "OUT": os.path.join(tmp, "out"), "DIR": tmp,
+                  "MISSING": os.path.join(tmp, "missing"),
+                  "MISSING/OUT": os.path.join(tmp, "missing", "out")}
+        argv = [places.get(a, a) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                assert exc.code == 2, (argv, err.getvalue())
+                code = 2
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if not names and spaced or names and _names_malformed(names, spaced):
+        assert code == 2, (argv, err.getvalue())
+    if reads_input and not _utf8(data):
+        assert code == 2, (argv, err.getvalue())

@@ -1,17 +1,21 @@
 """The rotation kernels against their naive oracles, output for output.
 
-canonical_rotation, cyclic_shift_between and cancel_any_order must return
-exactly what the quadratic transcriptions in oracles.py return: the least
-shift, the first shift found, and the same trace for every policy and seed.
-The last test keeps them linear: the quadratic versions take minutes on its
-inputs.
+canonical_rotation, cyclic_shift_between, cancel_any_order and rotate_trace
+must return exactly what the quadratic transcriptions in oracles.py return:
+the least shift, the first shift found, the same trace for every policy and
+seed, and the same transported trace at every shift.  The last test keeps
+them linear: the quadratic versions take minutes on its inputs.
 """
 
 import random
 import time
 
+import pytest
+
 from cycred import (POLICIES, cancel_any_order, canonical_rotation,
-                    cyclic_shift_between)
+                    cyc_reduce, cyclic_shift_between, reduce, replay_trace,
+                    rotate, rotate_trace)
+from cycred.reduction import CancellationEvent, CancellationTrace
 
 import oracles
 from conftest import AB3, from_tuples, to_tuples
@@ -94,8 +98,56 @@ def test_cyclic_shift_between_matches_oracle():
             assert got == oracles.naive_shift_between(u, v), (u, v)
 
 
+def _check_transport(trace):
+    n = trace.original_length
+    for shift in range(n):
+        pairs = [tuple(sorted(((e.left_pos + shift) % n, (e.right_pos + shift) % n)))
+                 for e in trace.events]
+        got = rotate_trace(trace, shift)
+        assert got.original_length == n
+        assert tuple(map(tuple, got.events)) == oracles.naive_schedule(n, pairs), \
+            (trace, shift)
+
+
+def test_rotate_trace_matches_oracle():
+    for word in CORPUS:
+        w = from_tuples(AB3, word)
+        traces = [reduce(w)[1], cyc_reduce(w)[1]]
+        traces += [cancel_any_order(w, c)[1] for c in POLICIES + (0, 1)]
+        for trace in {t.events: t for t in traces}.values():
+            _check_transport(trace)
+
+
+def test_rotate_trace_matches_oracle_on_crossing_matchings():
+    """Any partial matching, crossing pairs included, so that some pairs
+    never fire and are appended."""
+    rng = random.Random(8)
+    for _ in range(400):
+        n = rng.randint(1, 16)
+        pos = rng.sample(range(n), 2 * rng.randint(0, n // 2))
+        events = tuple(CancellationEvent(min(a, b), max(a, b), "internal")
+                       for a, b in zip(pos[::2], pos[1::2]))
+        _check_transport(CancellationTrace(n, events))
+
+
+@pytest.mark.parametrize("pairs", [((0, 1), (1, 2)), ((0, 1), (0, 1)),
+                                   ((1, 2), (0, 3), (0, 2))])
+def test_rotate_trace_keeps_a_repeated_position(pairs):
+    """A trace naming a position twice keeps every pair, and no rotation
+    of it replays."""
+    w = from_tuples(AB3, (x, X, x, X))
+    trace = CancellationTrace(4, tuple(CancellationEvent(l, r, "internal")
+                                       for l, r in pairs))
+    for shift in range(4):
+        rotated = rotate_trace(trace, shift)
+        assert len(rotated.events) == len(pairs)
+        with pytest.raises(ValueError):
+            replay_trace(rotate(w, -shift), rotated)
+
+
 def test_kernels_stay_linear():
-    """16,384 letters: milliseconds when linear, minutes when quadratic."""
+    """16,384 letters, and 65,536 for trace transport: milliseconds when
+    linear, minutes when quadratic."""
     rng = random.Random(5)
     n = 16384
     w = from_tuples(AB3, oracles.random_word(rng, 3, n))
@@ -103,6 +155,9 @@ def test_kernels_stay_linear():
     uv = oracles.rotate(half, n // 5) + oracles.inverse(half)
     words = [w, from_tuples(AB3, (x, y) * (n // 2)),
              from_tuples(AB3, (x,) + (X,) * (n // 2 - 1) + (x,) * (n // 2 - 1) + (X,))]
+    h = oracles.random_word(rng, 2, n)
+    big = from_tuples(AB3, oracles.random_word(rng, 3, 2 * n)
+                      + oracles.rotate(h + oracles.inverse(h), n // 3))
     start = time.perf_counter()
     for v in words:
         rep, shift = canonical_rotation(v)
@@ -112,4 +167,9 @@ def test_kernels_stay_linear():
         assert len(out) + 2 * len(trace.events) == n
     out, _ = cancel_any_order(words[2], "external-first-when-valid")
     assert not out
+    dec, trace = cyc_reduce(big)
+    assert len(trace.events) >= 16000
+    rotated = rotate_trace(trace, n)
+    residual = replay_trace(rotate(big, -n), rotated)
+    assert cyclic_shift_between(dec.core, residual) is not None
     assert time.perf_counter() - start < 5.0
