@@ -58,13 +58,32 @@ and the cut pairs within each, are visited in sorted order and every product
 is admitted as soon as it is computed, so which derivation of a word comes
 first, and with it its provenance, never depends on set iteration order.
 
+A round stops as soon as the members fill the sphere: every cyclically
+reduced word of length 1..max_len over the k generators that occur in the
+members (the canonical rotation of every such word under canonical dedup).
+Products and rotations add no letter, so the members always lie in that
+sphere, and once their count equals its size they are all of it: every
+product left is a duplicate, and stopping loses nothing, not even a
+witness.  A set that is full when a step starts returns at once, with an
+empty frontier and saturated.  The count is checked only after an
+admission, so a set that never fills, such as that of a presentation of a
+nontrivial group, pays nothing for it.  Over k generators
+
+    c(d) = (2k - 1)^d + 1 + (k - 1)(1 + (-1)^d)
+
+words of length d are cyclically reduced, and by Burnside's lemma the
+rotation classes of length n number (1/n) sum_{t < n} c(gcd(n, t)), since a
+rotation by t fixes exactly the words of period gcd(n, t).
+
 With track_provenance, every member carries a sequence of conjugated seed
 relators whose product reduces to exactly that member; it is dropped by
 save/load.
 """
 
 import os
+from functools import lru_cache
 from itertools import product
+from math import gcd
 from typing import FrozenSet, NamedTuple, Optional
 
 from .words import (Alphabet, Word, _code, canonical_rotation, concat,
@@ -126,6 +145,18 @@ def _rotations(letters):
             break
         rots.append(r)
     return rots
+
+
+@lru_cache(maxsize=None)
+def _sphere_size(k, max_len, canonical):
+    """The number of cyclically reduced words of length 1..max_len over k
+    generators, or of their rotation classes when canonical."""
+    def c(d):  # cyclically reduced words of length d
+        return (2 * k - 1) ** d + 1 + (k - 1) * (1 + (-1) ** d)
+    if not canonical:
+        return sum(c(n) for n in range(1, max_len + 1))
+    return sum(sum(c(gcd(n, t)) for t in range(n)) // n
+               for n in range(1, max_len + 1))
 
 
 def _cyc_core(a, b):
@@ -246,35 +277,11 @@ def _cuts(x, y, c, every_shift, windows):
     return sorted(hits) if hits else ()
 
 
-def step(s: ClosureSet) -> ClosureSet:
-    """One full round of products against the frontier."""
-    if s.saturated:
-        raise ValueError("closure set is already saturated")
-    if s.rounds_done >= s.config.max_rounds:
-        raise ValueError("closure set has done its max_rounds=%d rounds"
-                         % s.config.max_rounds)
-    cfg = s.config
-    cap, canonical = cfg.max_len, cfg.canonical_dedup
-    prov = s.provenance
-    members = set(s.members)
-    new_prov = dict(prov) if prov is not None else None
-    fresh = set()
-    # distinct members have distinct keys, so no two Words are compared
-    keyed = sorted([(_word_key(w), w) for w in s.members])
-    ordered = [w for _, w in keyed]
-    in_frontier = [w in s.frontier for w in ordered]
-    lengths = [k[0] for k, _ in keyed]
-    invert = {k: k ^ 1 for k in range(2 * len(s.alphabet))}
-    known = set()  # every rotation of every member, as codes
-    records = []   # per member, see _cuts
-    for (_, codes), _ in keyed:
-        rots = _rotations(codes)
-        known.update(rots)
-        spelled = "".join(map(chr, codes))
-        inv = spelled[::-1].translate(invert)
-        records.append((rots if canonical else [codes], inv + inv,
-                        spelled + spelled))
-    n = len(ordered)
+def _new_products(records, lengths, in_frontier, cap, canonical, known):
+    """(a, i, b, j) for each product of rotation i of member a and rotation
+    j of member b, in visiting order, whose core is not in known; the core's
+    rotations are added to known before it is yielded."""
+    n = len(records)
     for a in range(n):
         fa, x, la = in_frontier[a], records[a], lengths[a]
         left, windows = x[0], {}  # windows: see _cuts
@@ -293,12 +300,52 @@ def step(s: ClosureSet) -> ClosureSet:
                 if not core or core in known:
                     continue
                 known.update(_rotations(core))
-                for rep, h in _admit(ordered[a], i, ordered[b], j, prov,
-                                     canonical):
-                    members.add(rep)
-                    fresh.add(rep)
-                    if new_prov is not None:
-                        new_prov[rep] = h
+                yield a, i, b, j
+
+
+def step(s: ClosureSet) -> ClosureSet:
+    """One round of products against the frontier, ended early once the
+    members fill the sphere."""
+    if s.saturated:
+        raise ValueError("closure set is already saturated")
+    if s.rounds_done >= s.config.max_rounds:
+        raise ValueError("closure set has done its max_rounds=%d rounds"
+                         % s.config.max_rounds)
+    cfg = s.config
+    cap, canonical = cfg.max_len, cfg.canonical_dedup
+    prov = s.provenance
+    new_prov = dict(prov) if prov is not None else None
+    # distinct members have distinct keys, so no two Words are compared
+    keyed = sorted([(_word_key(w), w) for w in s.members])
+    used = set().union(*[codes for (_, codes), _ in keyed])
+    full = _sphere_size(len({c >> 1 for c in used}), cap, canonical)
+    if len(keyed) == full:
+        return ClosureSet(s.alphabet, cfg, s.members, frozenset(),
+                          s.rounds_done + 1, True, new_prov)
+    members = set(s.members)
+    fresh = set()
+    ordered = [w for _, w in keyed]
+    in_frontier = [w in s.frontier for w in ordered]
+    lengths = [k[0] for k, _ in keyed]
+    invert = {k: k ^ 1 for k in range(2 * len(s.alphabet))}
+    known = set()  # every rotation of every member, as codes
+    records = []   # per member, see _cuts
+    for (_, codes), _ in keyed:
+        rots = _rotations(codes)
+        known.update(rots)
+        spelled = "".join(map(chr, codes))
+        inv = spelled[::-1].translate(invert)
+        records.append((rots if canonical else [codes], inv + inv,
+                        spelled + spelled))
+    for a, i, b, j in _new_products(records, lengths, in_frontier, cap,
+                                    canonical, known):
+        for rep, h in _admit(ordered[a], i, ordered[b], j, prov, canonical):
+            members.add(rep)
+            fresh.add(rep)
+            if new_prov is not None:
+                new_prov[rep] = h
+        if len(members) == full:  # the rest are duplicates
+            break
     return ClosureSet(s.alphabet, cfg, frozenset(members), frozenset(fresh),
                       s.rounds_done + 1, not fresh, new_prov)
 
@@ -314,6 +361,9 @@ def contains(s: ClosureSet, w: Word) -> ContainsResult:
     """Membership of the cyclically reduced form of w, with a flag telling
     whether the query exceeds the enumeration cap (and so a False may be a
     truncation artifact)."""
+    if w.alphabet is not s.alphabet and w.alphabet != s.alphabet:
+        raise ValueError("alphabet mismatch: query over %r, closure set over %r"
+                         % (w.alphabet, s.alphabet))
     core = cyc_reduce(w)[0].core
     over = len(core.letters) > s.config.max_len
     if not core.letters:

@@ -1,15 +1,18 @@
 """The product-and-rotation closure enumerator."""
 
 import contextlib
+import functools
 import hashlib
 import io
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cycred import (Alphabet, ClosureConfig, canonical_rotation, cyc_reduce,
-                    psi, rotate)
+from cycred import (COMPACT_ALPHABET, Alphabet, ClosureConfig,
+                    canonical_rotation, cyc_reduce, parse_compact, psi, rotate)
 from cycred import closure as cl
 
 import oracles
@@ -21,6 +24,16 @@ def _members(relator_texts, max_len, rounds=10, alphabet=AB2, **kw):
     cfg = ClosureConfig(max_len, rounds, **kw)
     rels = [W(t, alphabet) for t in relator_texts]
     return cl.run(cl.seed(rels, cfg))
+
+
+@functools.lru_cache(maxsize=None)
+def _run_once(relator_texts, max_len, max_rounds, options):
+    """_members over AB2, computed once for the tests that read the same
+    large set; options is a tuple of (name, value) config pairs."""
+    return _members(relator_texts, max_len, max_rounds, **dict(options))
+
+
+AK3 = ("xyxYXY", "xxxYYYY")  # Akbulut-Kirby: a balanced presentation of 1
 
 
 def test_toy_closures():
@@ -178,6 +191,15 @@ def test_contains_over_cap():
     assert res.found is True and res.over_cap is False
 
 
+def test_contains_rejects_another_alphabet():
+    """A word over another alphabet is an error, as in seed and concat, not a
+    silent miss; an equal alphabet built apart is the same alphabet."""
+    s = _members(["xy", "y"], 3)
+    with pytest.raises(ValueError, match=r"Alphabet\('a', 'b'.*Alphabet\('x', 'y'\)"):
+        cl.contains(s, parse_compact("xy"))
+    assert cl.contains(s, W("xy", Alphabet("x", "y"))).found
+
+
 _PROVENANCE_DEF = """
 import io
 from cycred import Alphabet, ClosureConfig
@@ -231,10 +253,19 @@ def test_hash_seed_determinism():
      "83cfb7f9a475111f55913d2dddfc5e4432692c96ed7087fff3846d7c02dbebf2"),
     (6, 64, {"canonical_dedup": False}, 1104, 5, True,
      "1381eb111ff8f64b1455e438e4dbc7e769d1db3dad30da9b51b868c9e4735017"),
+    (8, 64, {}, 1386, 5, True,
+     "a88dcca301ce32f589b342371a68a3222ece799280a917deb0b08db2953f98d5"),
+    (8, 64, {"relators": AK3}, 1386, 8, True,
+     "8da30c859136e5a698628bdeeced03e4883002978761dbbd362b30538233f394"),
 ])
 def test_saved_file_digests(max_len, max_rounds, options, count, rounds,
                             saturated, digest):
-    s = _members(["xy", "y"], max_len, max_rounds, **options)
+    """options may name other relators; the maxlen 8 rows, pinned from the
+    engine that multiplied every remaining pair after the sphere was full,
+    are the sets that the sphere-count tests read too."""
+    options = dict(options)
+    relators = options.pop("relators", ("xy", "y"))
+    s = _run_once(relators, max_len, max_rounds, tuple(sorted(options.items())))
     assert (len(s.members), s.rounds_done, s.saturated) == (count, rounds, saturated)
     buf = io.StringIO()
     cl.save(s, buf)
@@ -273,6 +304,123 @@ def test_no_over_cap_product(monkeypatch, max_len, canonical):
     monkeypatch.setattr(cl, "_cyc_core", recording)
     _members(["xy", "y"], max_len, 64, canonical_dedup=canonical)
     assert lengths and max(lengths) <= max_len
+
+
+def _cyclically_reduced(d, k):
+    """The number of cyclically reduced words of length d over k
+    generators."""
+    return (2 * k - 1) ** d + 1 + (k - 1) * (1 + (-1) ** d)
+
+
+def _sphere(k, max_len, classes):
+    """The number of cyclically reduced words of length 1..max_len over k
+    generators, or with classes of their rotation classes: at length n
+    those number (1/n) sum over d | n of phi(n/d) c(d)."""
+    def phi(m):
+        return sum(1 for i in range(1, m + 1) if gcd(i, m) == 1)
+    total = 0
+    for n in range(1, max_len + 1):
+        if classes:
+            total += sum(phi(n // d) * _cyclically_reduced(d, k)
+                         for d in range(1, n + 1) if n % d == 0) // n
+        else:
+            total += _cyclically_reduced(n, k)
+    return total
+
+
+@pytest.mark.parametrize("k,max_len", [(1, 8), (2, 6), (3, 4)])
+def test_sphere_formula_matches_brute_force(k, max_len):
+    letters = [(g, e) for g in range(k) for e in (1, -1)]
+    words, classes = 0, set()
+    for n in range(1, max_len + 1):
+        for w in product(letters, repeat=n):
+            if all(w[t - 1] != (w[t][0], -w[t][1]) for t in range(n)):
+                words += 1  # t = 0 compares the last letter with the first
+                classes.add(min(w[t:] + w[:t] for t in range(n)))
+        assert (words, len(classes)) == (_sphere(k, n, False),
+                                         _sphere(k, n, True)), n
+
+
+@pytest.mark.parametrize("max_len", range(1, 9))
+def test_sphere_count_canonical(max_len):
+    """Once x, y and their inverses are members, every cyclically reduced
+    word within the cap becomes one, and the step stops there."""
+    k = 1 if max_len == 1 else 2  # xy is over a cap of 1, so only y occurs
+    s = _run_once(("xy", "y"), max_len, 64, ())
+    assert s.saturated and len(s.members) == _sphere(k, max_len, True)
+
+
+def test_sphere_count_materialized():
+    s = _run_once(("xy", "y"), 7, 64, (("canonical_dedup", False),))
+    assert len(s.members) == _sphere(2, 7, False) == 3292
+
+
+def test_sphere_count_ak3():
+    """AK(3) presents the trivial group and fills the sphere at maxlen 8;
+    at maxlen 7 its first round admits nothing."""
+    assert len(_run_once(AK3, 8, 64, ()).members) == _sphere(2, 8, True)
+    s = _run_once(AK3, 7, 64, ())
+    assert s.saturated and len(s.members) == 4
+
+
+def _permutation(w, images):
+    """The image of w under letters -> permutations (tuples), composed left
+    to right."""
+    out = tuple(range(len(images[0])))
+    for l in w.letters:
+        p = images[l.generator]
+        if l.sign < 0:
+            p = tuple(sorted(range(len(p)), key=p.__getitem__))
+        out = tuple(p[i] for i in out)
+    return out
+
+
+@pytest.mark.parametrize("relators,max_len,images", [
+    # Z/2 * Z/3 onto S3: x -> (0 1), y -> (0 1 2)
+    (("xx", "yyy"), 10, ((1, 0, 2), (1, 2, 0))),
+    # the dihedral group of order 8: x -> (0 1 2 3), y -> (1 3)
+    (("xxxx", "yy", "xyxy"), 8, ((1, 2, 3, 0), (0, 3, 2, 1))),
+])
+def test_finite_quotient_kills_every_member(relators, max_len, images):
+    """A member is conjugate to a product of conjugates of relators, so a
+    homomorphism that kills the relators kills it.  x survives, so these
+    sets never fill the sphere and the stop never fires."""
+    identity = tuple(range(len(images[0])))
+    rels = [W(t, AB2) for t in relators]
+    assert all(_permutation(r, images) == identity for r in rels)
+    assert _permutation(W("x", AB2), images) != identity
+    s = _members(relators, max_len, 64)
+    assert s.saturated and len(s.members) < _sphere(2, max_len, True)
+    assert all(_permutation(m, images) == identity for m in s.members)
+
+
+@pytest.mark.parametrize("alphabet", [AB2, COMPACT_ALPHABET],
+                         ids=["xy", "compact"])
+def test_step_stops_on_a_full_sphere(monkeypatch, alphabet):
+    """The round whose admission fills the sphere ends with that product,
+    and the next step multiplies nothing.  Over the 26-letter compact
+    alphabet the sphere is over the two generators that occur."""
+    kernel, cores = cl._cyc_core, []
+
+    def recording(a, b):
+        core = kernel(a, b)
+        cores.append(core)
+        return core
+    monkeypatch.setattr(cl, "_cyc_core", recording)
+    full = _sphere(2, 5, True)
+    s = cl.seed([W(t, alphabet) for t in ("xy", "y")], ClosureConfig(5, 64))
+    while len(s.members) < full:
+        del cores[:]
+        s = cl.step(s)
+    assert s.frontier and not s.saturated
+    # codes are 2 * generator + (sign < 0), see words._code
+    last = alphabet.word([(c >> 1, -1 if c & 1 else 1) for c in cores[-1]])
+    assert canonical_rotation(last)[0] in s.frontier
+    del cores[:]
+    done = cl.step(s)
+    assert cores == []
+    assert done.saturated and not done.frontier
+    assert done.members == s.members and done.rounds_done == s.rounds_done + 1
 
 
 def test_save_load_round_trip():
