@@ -10,70 +10,50 @@ canonical rotation per class, otherwise every rotation is materialized.  The
 empty word is never stored.
 
 Rounds use semi-naive evaluation: a step multiplies pairs of members with
-at least one factor in the frontier (the words added by the previous round).
-Under canonical dedup a class stands for all its rotations, and the product
-depends on the actual rotations multiplied, not just their classes, so a
-step expands each pair to all rotation pairs.
+at least one factor in the frontier (the words added by the previous round),
+and under canonical dedup it expands each pair to all rotation pairs, since
+the product depends on the rotations multiplied.  Each pair is multiplied
+once, as (x, y) with x <= y in length-then-letter order: uv and vu are
+conjugate, by u, so rho_hat(uv) and rho_hat(vu) are rotations of each other,
+and a member set closed under rotation gains the same words from either.
 
-Each pair is multiplied once, as (x, y) with x <= y in length-then-letter
-order.  That loses nothing: uv and vu are conjugate, by u, so rho_hat(uv)
-and rho_hat(vu) are rotations of each other, and a member set closed under
-rotation (materialized, or a class per canonical rep) gains the same words
-from either order.  The cap check and the stored reps are therefore the
-same for both orders in both dedup modes.
-
-Members are cyclically reduced, and so is each rotation, so in a product
-x_i y_j of rotations of x and y cancellation begins at the junction (the
-last letters of x_i against the first of y_j) and goes on around the ends
-(the first letters of x_i against the last of y_j).  The K letters of x
-that cancel against y that way form a cyclic factor of x straddling the cut
-point i, and their inverse is a cyclic factor of y straddling the cut point
+Members are cyclically reduced, so in a product x_i y_j of rotations of x
+and y cancellation begins at the junction and goes on around the ends.  The
+K letters of x that cancel against y that way form a cyclic factor of x
+straddling the cut point i whose inverse is a cyclic factor of y straddling
 j: a piece, in small-cancellation terms (R. C. Lyndon and P. E. Schupp,
 Combinatorial Group Theory, 1977, ch. V).  If neither factor cancels
-completely, rho_hat(x_i y_j) has |x| + |y| - 2K letters.  If one does, it
-has at most max(|x|, |y|) - min(|x|, |y|) letters, and K = min(|x|, |y|).
-
-So when |x| + |y| > max_len, set c = ceil((|x| + |y| - max_len) / 2).  A
-product within the cap has K >= c: with no complete cancellation that is
-the length count, and otherwise K = min(|x|, |y|) >= c because neither
-|x| nor |y| exceeds max_len.  Then a length-c window of the piece is a
-cyclic factor of x at some p whose inverse occurs in y at some q, and
+completely, rho_hat(x_i y_j) has |x| + |y| - 2K letters; if one does, at
+most max(|x|, |y|) - min(|x|, |y|), and K = min(|x|, |y|).  So when
+|x| + |y| > max_len, a product within the cap has K >= c =
+ceil((|x| + |y| - max_len) / 2), and a length-c window of the piece is a
+cyclic factor of x at some p whose inverse occurs in y at some q, with
 (i, j) = (p + k, q + c - k) for a split k in 0..c.  Conversely, at every cut
-pair such a window names, c letters of x cancel against y, or one factor
-cancels completely, so the product is within the cap.  A long pair is
-therefore multiplied only at cut pairs this join on pieces names, and no
-over-cap product is ever computed; a pair within the cap is scanned in
-full.  Of the c + 1 cut pairs one window names, only the least is
-multiplied: the others give rotations of its core (see _cuts), so they
-could only be duplicates.  Under materialized dedup only the cut pair
-(0, 0) is multiplied, and the join reduces to the c + 1 splits straddling
-it.
+pair such a window names the product is within the cap.  A long pair is
+therefore multiplied only at cut pairs this join on pieces names, of which
+only the least per window (see _cuts), and no over-cap product is ever
+computed; a pair within the cap is scanned in full.  Under materialized
+dedup only the cut pair (0, 0) is multiplied.
 
-The inner loop works on words coded as tuples of ints (see words._code),
-spelled as str for the join, and keeps every rotation of every member, so a
-product is a duplicate exactly when its core is already known.  Only an
-admitted product is rebuilt as a Word, through cyc_reduce and the
-stored-rep rules, and only then does it get its provenance.  Member pairs,
-and the cut pairs within each, are visited in sorted order and every product
-is admitted as soon as it is computed, so which derivation of a word comes
-first, and with it its provenance, never depends on set iteration order.
+The inner loop works on the members' codes (see cycred.words) and keeps
+every rotation of every member, so a product is a duplicate exactly when
+its core is already known.  Only an admitted product is rebuilt as a Word,
+and only then does it get its provenance.  Member pairs, and the cut pairs
+within each, are visited in sorted order and a product is admitted as soon
+as it is computed, so provenance never depends on set iteration order.
 
 A round stops as soon as the members fill the sphere: every cyclically
 reduced word of length 1..max_len over the k generators that occur in the
-members (the canonical rotation of every such word under canonical dedup).
-Products and rotations add no letter, so the members always lie in that
-sphere, and once their count equals its size they are all of it: every
-product left is a duplicate, and stopping loses nothing, not even a
-witness.  A set that is full when a step starts returns at once, with an
-empty frontier and saturated.  The count is checked only after an
-admission, so a set that never fills, such as that of a presentation of a
-nontrivial group, pays nothing for it.  Over k generators
-
-    c(d) = (2k - 1)^d + 1 + (k - 1)(1 + (-1)^d)
-
-words of length d are cyclically reduced, and by Burnside's lemma the
-rotation classes of length n number (1/n) sum_{t < n} c(gcd(n, t)), since a
-rotation by t fixes exactly the words of period gcd(n, t).
+members (one canonical rotation per class under canonical dedup).  Products
+and rotations add no letter, so the members lie in that sphere, and once
+their count equals its size every product left is a duplicate.  A set that
+is full when a step starts returns at once, empty frontier and saturated.
+The count is checked only after an admission, so a set that never fills,
+such as that of a presentation of a nontrivial group, pays nothing for it.
+Over k generators c(d) = (2k - 1)^d + 1 + (k - 1)(1 + (-1)^d) words of
+length d are cyclically reduced, and by Burnside's lemma the rotation
+classes of length n number (1/n) sum_{t < n} c(gcd(n, t)), since a rotation
+by t fixes exactly the words of period gcd(n, t).
 
 With track_provenance, every member carries a sequence of conjugated seed
 relators whose product reduces to exactly that member; it is dropped by
@@ -86,9 +66,9 @@ from itertools import product
 from math import gcd
 from typing import FrozenSet, NamedTuple, Optional
 
-from .words import (Alphabet, Word, _code, canonical_rotation, concat,
-                    inverse, is_cyclically_reduced, rotate)
-from .reduction import cyc_reduce
+from .words import (_INVERSE, Alphabet, Word, _word, canonical_rotation,
+                    concat, inverse, is_cyclically_reduced, rotate)
+from .reduction import _cyc, _decompose
 from .identities import HElement, conjugate
 from .syntax import format_compact, parse_compact
 
@@ -116,8 +96,8 @@ class ContainsResult(NamedTuple):
 
 
 def _word_key(w):
-    # code order is letter_key order (see words._code)
-    return (len(w.letters), _code(w))
+    # code order is letter_key order (see cycred.words)
+    return (len(w.codes), w.codes)
 
 
 def _rotation_provenance(base, shift, h):
@@ -132,16 +112,16 @@ def _reps(core, canonical, h):
         rep, shift = canonical_rotation(core)
         return [(rep, _rotation_provenance(core, shift, h))]
     return [(rotate(core, k), _rotation_provenance(core, k, h))
-            for k in range(len(_rotations(core.letters)))]
+            for k in range(len(_rotations(core.codes)))]
 
 
-def _rotations(letters):
-    """The distinct rotations of a letter tuple, indexed by least shift: for
+def _rotations(codes):
+    """The distinct rotations of a word's codes, indexed by least shift: for
     a word of period d they are the rotations by 0, ..., d - 1."""
-    rots = [letters]
-    for k in range(1, len(letters)):
-        r = letters[k:] + letters[:k]
-        if r == letters:
+    rots = [codes]
+    for k in range(1, len(codes)):
+        r = codes[k:] + codes[:k]
+        if r == codes:
             break
         rots.append(r)
     return rots
@@ -164,11 +144,11 @@ def _cyc_core(a, b):
     junction, and what survives it is reduced."""
     la = len(a)
     k, m = 0, min(la, len(b))
-    while k < m and a[la - 1 - k] ^ 1 == b[k]:
+    while k < m and ord(a[la - 1 - k]) ^ 1 == ord(b[k]):
         k += 1
     w = a[:la - k] + b[k:]
     lo, hi = 0, len(w)
-    while hi - lo >= 2 and w[lo] ^ 1 == w[hi - 1]:
+    while hi - lo >= 2 and ord(w[lo]) ^ 1 == ord(w[hi - 1]):
         lo += 1
         hi -= 1
     return w[lo:hi]
@@ -194,9 +174,9 @@ def seed(relators, config: ClosureConfig, *, track_provenance=False) -> ClosureS
     members = set()
     prov = {} if track_provenance else None
     for src in sources:
-        dec, _ = cyc_reduce(src)
+        dec = _decompose(src)
         core = dec.core
-        if not core.letters or len(core.letters) > config.max_len:
+        if not core or len(core) > config.max_len:
             continue
         h = None
         if track_provenance:
@@ -213,7 +193,7 @@ def seed(relators, config: ClosureConfig, *, track_provenance=False) -> ClosureS
 def _admit(x, i, y, j, prov, canonical):
     """The stored representatives of rho_hat(rotate(x, i) rotate(y, j)),
     with provenance built from prov when it is given."""
-    dec, _ = cyc_reduce(concat(rotate(x, i), rotate(y, j)))
+    dec = _decompose(concat(rotate(x, i), rotate(y, j)))
     h = None
     if prov is not None:
         hx = _rotation_provenance(x, i, prov[x])
@@ -228,24 +208,18 @@ def _cuts(x, y, c, every_shift, windows):
     rotation j of y give, up to rotation, every such product in which at
     least c letters of x cancel against y.
 
-    x and y are step's per-member records (rotations, spelling of the
-    inverse doubled, spelling doubled).  With every_shift, i and j run over
-    the least shifts of the distinct rotations.  A length-c cyclic factor of
-    x at p whose inverse occurs in y at q names, for each split k in 0..c,
-    the cut pair (p + k, q + c - k): the last k letters of the factor end
-    rotation i and cancel the first k letters of rotation j at the junction,
-    and its first c - k letters start rotation i and cancel the last c - k of
-    rotation j around the ends.  Only the least of those c + 1 cut pairs is
-    returned.  Going from (i, j) to (i - 1, j + 1) moves a letter a of the
-    factor from the end of rotation i to its start and a^-1 from the start
-    of rotation j to its end, which conjugates the product by a.  So the
-    other splits give rotations of the least one's core: trivial when it
-    is, and otherwise known to the caller once it has multiplied the least.
+    x and y are step's per-member records (rotations, codes of the inverse
+    doubled, codes doubled).  With every_shift, i and j run over the least
+    shifts of the distinct rotations.  A length-c cyclic factor of x at p
+    whose inverse occurs in y at q names, for each split k in 0..c, the cut
+    pair (p + k, q + c - k): k letters of the factor cancel at the junction
+    and c - k around the ends.  Only the least of those c + 1 cut pairs is
+    returned: going from (i, j) to (i - 1, j + 1) conjugates the product by
+    a letter of the factor, so the others give rotations of its core.
     windows maps c to the inverted length-c factors of x; it is filled here
-    and kept by the caller for as long as x stays the same.
-
-    Without every_shift only (0, 0) is asked about, and the splits straddling
-    both cut points 0 are checked letter by letter.
+    and kept by the caller for as long as x stays the same.  Without
+    every_shift only (0, 0) is asked about, and the splits straddling both
+    cut points 0 are checked letter by letter.
     """
     xrots, xinv, _ = x
     yrots, _, ys = y
@@ -315,28 +289,24 @@ def step(s: ClosureSet) -> ClosureSet:
     cap, canonical = cfg.max_len, cfg.canonical_dedup
     prov = s.provenance
     new_prov = dict(prov) if prov is not None else None
-    # distinct members have distinct keys, so no two Words are compared
-    keyed = sorted([(_word_key(w), w) for w in s.members])
-    used = set().union(*[codes for (_, codes), _ in keyed])
-    full = _sphere_size(len({c >> 1 for c in used}), cap, canonical)
-    if len(keyed) == full:
+    ordered = sorted(s.members, key=_word_key)
+    used = set().union(*[w.codes for w in ordered])
+    full = _sphere_size(len({ord(c) >> 1 for c in used}), cap, canonical)
+    if len(ordered) == full:
         return ClosureSet(s.alphabet, cfg, s.members, frozenset(),
                           s.rounds_done + 1, True, new_prov)
     members = set(s.members)
     fresh = set()
-    ordered = [w for _, w in keyed]
     in_frontier = [w in s.frontier for w in ordered]
-    lengths = [k[0] for k, _ in keyed]
-    invert = {k: k ^ 1 for k in range(2 * len(s.alphabet))}
+    lengths = [len(w) for w in ordered]
     known = set()  # every rotation of every member, as codes
     records = []   # per member, see _cuts
-    for (_, codes), _ in keyed:
+    for codes in [w.codes for w in ordered]:
         rots = _rotations(codes)
         known.update(rots)
-        spelled = "".join(map(chr, codes))
-        inv = spelled[::-1].translate(invert)
+        inv = codes[::-1].translate(_INVERSE)
         records.append((rots if canonical else [codes], inv + inv,
-                        spelled + spelled))
+                        codes + codes))
     for a, i, b, j in _new_products(records, lengths, in_frontier, cap,
                                     canonical, known):
         for rep, h in _admit(ordered[a], i, ordered[b], j, prov, canonical):
@@ -364,11 +334,13 @@ def contains(s: ClosureSet, w: Word) -> ContainsResult:
     if w.alphabet is not s.alphabet and w.alphabet != s.alphabet:
         raise ValueError("alphabet mismatch: query over %r, closure set over %r"
                          % (w.alphabet, s.alphabet))
-    core = cyc_reduce(w)[0].core
-    over = len(core.letters) > s.config.max_len
-    if not core.letters:
+    core = _cyc(w.codes)[1]
+    over = len(core) > s.config.max_len
+    if not core:
         return ContainsResult(False, over)
-    probe = canonical_rotation(core)[0] if s.config.canonical_dedup else core
+    probe = _word(w.alphabet, core)
+    if s.config.canonical_dedup:
+        probe = canonical_rotation(probe)[0]
     return ContainsResult(probe in s.members, over)
 
 
@@ -458,11 +430,11 @@ def load(source) -> ClosureSet:
             into = frontier
             continue
         w = parse_compact(ln, alphabet)
-        if not w.letters:
+        if not w:
             raise ValueError("closure file: the empty word cannot be a member")
         if not is_cyclically_reduced(w):
             raise ValueError("closure file: member %r is not cyclically reduced" % ln)
-        if len(w.letters) > max_len:
+        if len(w) > max_len:
             raise ValueError("closure file: member %r violates the length cap" % ln)
         into.add(w)
     if into is members:
@@ -476,7 +448,7 @@ def load(source) -> ClosureSet:
         if config.canonical_dedup:
             if canonical_rotation(w)[0] != w:
                 raise ValueError("closure file: non-canonical member under canonical dedup")
-        elif any(rotate(w, k) not in members for k in range(len(w.letters))):
+        elif any(rotate(w, k) not in members for k in range(len(w))):
             raise ValueError("closure file: members are not rotation-closed")
     return ClosureSet(alphabet, config, frozenset(members), frozenset(frontier),
                       rounds_done, saturated, None)

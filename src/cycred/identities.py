@@ -23,15 +23,12 @@ terms i and i+1.
 
 from typing import NamedTuple, Optional, Tuple
 
-from .words import Word, canonical_rotation, concat, inverse, power
-from .reduction import _rho, cyc_reduce
+from .words import Word, _word, canonical_rotation, concat, inverse, power
+from .reduction import _decompose, _rho
 
 
 def _rho_seq(*parts):
-    acc = []
-    for p in parts:
-        acc.extend(p.letters)
-    return _rho(Word(parts[0].alphabet, acc))
+    return _rho(_word(parts[0].alphabet, "".join([p.codes for p in parts])))
 
 
 class HElement:
@@ -46,8 +43,7 @@ class HElement:
     def __init__(self, terms=(), alphabet=None):
         norm = []
         for a, r in terms:
-            a = _rho(a)
-            r = _rho(r)
+            a, r = _rho(a), _rho(r)
             if a.alphabet != r.alphabet:
                 raise ValueError("alphabet mismatch inside a term")
             if alphabet is None:
@@ -115,12 +111,8 @@ def psi(h: HElement) -> Word:
     """The reduced form of the full conjugated product."""
     if h.alphabet is None:
         raise ValueError("element carries no alphabet")
-    acc = []
-    for a, r in h.terms:
-        acc.extend(a.letters)
-        acc.extend(r.letters)
-        acc.extend(inverse(a).letters)
-    return _rho(Word(h.alphabet, acc))
+    return _rho(_word(h.alphabet, "".join([a.codes + r.codes + inverse(a).codes
+                                           for a, r in h.terms])))
 
 
 def phi(h: HElement) -> PhiElement:
@@ -134,7 +126,7 @@ def _check_pos(nterms, pos):
 
 
 def _check_deletion(a, r, b, s, kind):
-    if _rho_seq(a, r, inverse(a), b, s, inverse(b)).letters:
+    if _rho_seq(a, r, inverse(a), b, s, inverse(b)):
         raise ValueError("deletion: combined value of the pair is not trivial")
     if kind == "general":
         return
@@ -180,7 +172,7 @@ def apply_phi_op(ph: PhiElement, op) -> PhiElement:
         terms[i] = (_rho_seq(va, vb, inverse(va)), s)
         terms[i + 1] = (va, r)
     elif isinstance(op, Deletion):
-        if _rho_seq(va, vb).letters:
+        if _rho_seq(va, vb):
             raise ValueError("deletion: combined value of the pair is not trivial")
         del terms[i:i + 2]
     else:
@@ -206,8 +198,7 @@ def h_from_product(terms) -> HElement:
 def h_for_cyc_product(u: Word, v: Word) -> HElement:
     """The two-term element with psi equal to cyc_product(u, v): both words
     conjugated by the inverse of the conjugator of their concatenation."""
-    dec, _ = cyc_reduce(concat(u, v))
-    alpha = inverse(dec.conjugator)
+    alpha = inverse(_decompose(concat(u, v)).conjugator)
     return HElement([(alpha, u), (alpha, v)])
 
 
@@ -267,10 +258,10 @@ def collapse_schedule(inp: CollapsehInput):
 
 def is_proper_power(w: Word) -> bool:
     """True iff the cyclically reduced form of w is a k-th power, k >= 2."""
-    core = cyc_reduce(w)[0].core
+    core = _decompose(w).core.codes
     n = len(core)
     for d in range(1, n):
-        if n % d == 0 and core.letters == core.letters[:d] * (n // d):
+        if n % d == 0 and core == core[:d] * (n // d):
             return True
     return False
 
@@ -280,7 +271,7 @@ def pairwise_nonconjugate(relators) -> bool:
     equivalence of cyclically reduced forms."""
     seen = set()
     for r in relators:
-        canon = canonical_rotation(cyc_reduce(r)[0].core)[0]
+        canon = canonical_rotation(_decompose(r).core)[0]
         if canon in seen:
             return False
         seen.add(canon)

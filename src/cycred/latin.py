@@ -16,7 +16,7 @@ w, and lengths grow strictly with n, so the pairs are pairwise distinct.
 
 from typing import List, NamedTuple
 
-from .words import (Letter, Word, concat, inverse, is_cyclically_reduced,
+from .words import (Word, _word, concat, inverse, is_cyclically_reduced,
                     is_reduced, power, rotate)
 
 
@@ -26,16 +26,11 @@ class LatinPair(NamedTuple):
     n: int
 
 
-def _letters_in_order(alphabet):
-    for g in range(len(alphabet.generators)):
-        yield Letter(g, 1)
-        yield Letter(g, -1)
-
-
 def _least_letter_avoiding(alphabet, excluded):
-    for let in _letters_in_order(alphabet):
-        if let not in excluded:
-            return let
+    # letters are coded in letter order (see cycred.words)
+    for c in range(2 * len(alphabet.generators)):
+        if c not in excluded:
+            return c
     raise ValueError("no admissible letter exists")
 
 
@@ -44,7 +39,7 @@ def _check_inputs(u, w):
         raise ValueError("alphabet mismatch")
     if len(u.alphabet.generators) < 2:
         raise ValueError("at least two generators are required")
-    if not u.letters or not w.letters:
+    if not u or not w:
         raise ValueError("u and w must be non-empty")
     if not is_reduced(u) or not is_reduced(w):
         raise ValueError("u and w must be reduced")
@@ -55,35 +50,36 @@ def find_stabilizing_conjugator(u: Word, w: Word) -> Word:
     cyclically reduced for all n >= 1."""
     _check_inputs(u, w)
     ab = u.alphabet
-    a, b = u.letters[0], u.letters[-1]
-    c, d = w.letters[0], w.letters[-1]
+
+    def spell(*letters):  # letters as codes: the inverse of x is x ^ 1
+        return _word(ab, "".join(map(chr, letters)))
+    a, b, c, d = map(ord, (u.codes[0], u.codes[-1], w.codes[0], w.codes[-1]))
     if is_cyclically_reduced(u):
         if a == b:
-            x = _least_letter_avoiding(ab, {a, a.inverse()})
-            if x != c.inverse() and x != d:
-                return Word(ab, (x,))
-            if x == c.inverse():
-                if x != d.inverse():
-                    return Word(ab, (x.inverse(),))
-                return Word(ab, (x, a.inverse()))
+            x = _least_letter_avoiding(ab, {a, a ^ 1})
+            if x != c ^ 1 and x != d:
+                return spell(x)
+            if x == c ^ 1:
+                if x != d ^ 1:
+                    return spell(x ^ 1)
+                return spell(x, a ^ 1)
             if x != c:
-                return Word(ab, (x.inverse(),))
-            return Word(ab, (x.inverse(), a.inverse()))
-        if b != c.inverse() and b != d:
-            return Word(ab, (b,))
-        if b == c.inverse():
-            if a != d.inverse():
-                return Word(ab, (a.inverse(),))
-            return Word(ab, (b, a))
+                return spell(x ^ 1)
+            return spell(x ^ 1, a ^ 1)
+        if b != c ^ 1 and b != d:
+            return spell(b)
+        if b == c ^ 1:
+            if a != d ^ 1:
+                return spell(a ^ 1)
+            return spell(b, a)
         if a != c:
-            return Word(ab, (a.inverse(),))
-        return Word(ab, (b, a))
+            return spell(a ^ 1)
+        return spell(b, a)
     if is_cyclically_reduced(w):
         return inverse(find_stabilizing_conjugator(w, u))
     # neither is cyclically reduced, so b = a^-1 and d = c^-1; any letter
     # clear of a and c^-1 meets all the border conditions at once
-    g = _least_letter_avoiding(ab, {a, c.inverse()})
-    return Word(ab, (g,))
+    return spell(_least_letter_avoiding(ab, {a, c ^ 1}))
 
 
 def latin_pairs(u: Word, w: Word, count: int) -> List[LatinPair]:

@@ -22,9 +22,14 @@ rho_hat(w), which the arbitrary-order tests exercise heavily.
 """
 
 import random
+from itertools import chain, compress, starmap
 from typing import NamedTuple, Tuple, Union
 
-from .words import Word, _code, concat, is_reduced
+from .words import (_INVERSE, Word, _agree, _cancelling, _word, concat,
+                    inverse, is_reduced)
+
+# below this many letters, reducing letter by letter beats slicing
+_SHORT = 48
 
 
 class CancellationEvent(NamedTuple):
@@ -49,56 +54,90 @@ class MaxCancellation(NamedTuple):
     v1: Word
 
 
-def _reduce(code, events=None):
-    """The positions of code that survive free reduction, in order: a letter
-    cancels the top of a stack of positions when it is its inverse.  Given a
-    list, appends one internal event per cancelled pair."""
-    stack = []
-    for pos, c in enumerate(code):
-        if stack and code[stack[-1]] ^ 1 == c:
-            l = stack.pop()
-            if events is not None:
-                events.append(CancellationEvent(l, pos, "internal"))
-        else:
-            stack.append(pos)
-    return stack
+def _reduce(codes, events=None):
+    """The positions of codes that survive free reduction, as ascending
+    spans (start, end), from a stack that a letter cancels the top of when
+    it is its inverse; given a list, appends one internal event per pair.
+    Beyond a few letters the stack holds spans: the codes between cancelling
+    neighbours (words._cancelling) run reduced, so a run cancels only its
+    head against the stack, as far as _agree finds the stack's inverse."""
+    n = len(codes)
+    if n < _SHORT:
+        inv = codes.translate(_INVERSE)
+        stack = []
+        for pos, c in enumerate(codes):
+            if stack and inv[stack[-1]] == c:
+                l = stack.pop()
+                if events is not None:
+                    events.append(CancellationEvent(l, pos, "internal"))
+            else:
+                stack.append(pos)
+        return [(p, p + 1) for p in stack]
+    rev = codes[::-1].translate(_INVERSE)  # rev[n - 1 - p] inverts codes[p]
+    spans = []
+    start = 0
+    for end in _cancelling(codes) + [n]:
+        while spans and start < end:
+            a, b = spans[-1]
+            k = _agree(rev, n - b, codes, start, min(b - a, end - start))
+            if k and events is not None:
+                events += [CancellationEvent(b - 1 - t, start + t, "internal")
+                           for t in range(k)]
+            start += k
+            if k < b - a:
+                spans[-1] = (a, b - k)
+                break
+            spans.pop()
+        if start < end:
+            spans.append((start, end))
+        start = end
+    return spans
 
 
-def _cyc(code, events=None):
-    """The positions of the conjugator and of the core; given a list, appends
-    _reduce's events and one external event per pair of ends stripped."""
-    keep = _reduce(code, events)
-    lo, hi = 0, len(keep)
-    while hi - lo >= 2 and code[keep[lo]] ^ 1 == code[keep[hi - 1]]:
-        if events is not None:
-            events.append(CancellationEvent(keep[lo], keep[hi - 1], "external"))
-        lo += 1
-        hi -= 1
-    return keep[:lo], keep[lo:hi]
+def _join(codes, spans):
+    return "".join([codes[a:b] for a, b in spans])
 
 
-def _pick(w, positions):
-    return Word(w.alphabet, map(w.letters.__getitem__, positions))
+def _cyc(codes, events=None):
+    """The conjugator and the core of codes, as codes; given a list,
+    appends _reduce's events and one external event per pair of ends
+    stripped."""
+    spans = _reduce(codes, events)
+    red = _join(codes, spans)
+    n = len(red)
+    # a reduced word never cancels its middle, so k < n / 2
+    k = _agree(red, 0, red[::-1].translate(_INVERSE), 0, n // 2)
+    if k and events is not None:
+        pos = list(chain.from_iterable(starmap(range, spans)))
+        events += [CancellationEvent(pos[i], pos[n - 1 - i], "external")
+                   for i in range(k)]
+    return red[:k], red[k:n - k]
 
 
 def reduce(w: Word):
     """rho(w) together with the (internal-only) trace that produced it."""
     events = []
-    keep = _reduce(_code(w), events)
-    return _pick(w, keep), CancellationTrace(len(w.letters), tuple(events))
+    red = _join(w.codes, _reduce(w.codes, events))
+    return _word(w.alphabet, red), CancellationTrace(len(w), tuple(events))
 
 
 def _rho(w):
-    return _pick(w, _reduce(_code(w)))
+    return _word(w.alphabet, _join(w.codes, _reduce(w.codes)))
 
 
 def cyc_reduce(w: Word):
     """The decomposition rho(w) = t core t^-1 with core cyclically reduced,
     plus the trace extending reduce's by one external event per letter of t."""
     events = []
-    t, core = _cyc(_code(w), events)
-    return (CycRedDecomposition(_pick(w, t), _pick(w, core)),
-            CancellationTrace(len(w.letters), tuple(events)))
+    t, core = _cyc(w.codes, events)
+    return (CycRedDecomposition(_word(w.alphabet, t), _word(w.alphabet, core)),
+            CancellationTrace(len(w), tuple(events)))
+
+
+def _decompose(w):
+    """cyc_reduce(w) without the trace."""
+    t, core = _cyc(w.codes)
+    return CycRedDecomposition(_word(w.alphabet, t), _word(w.alphabet, core))
 
 
 def reduced_product(u: Word, v: Word) -> Word:
@@ -107,7 +146,7 @@ def reduced_product(u: Word, v: Word) -> Word:
 
 def cyc_product(u: Word, v: Word) -> Word:
     w = concat(u, v)
-    return _pick(w, _cyc(_code(w))[1])
+    return _word(w.alphabet, _cyc(w.codes)[1])
 
 
 def max_cancellation(u: Word, v: Word) -> MaxCancellation:
@@ -116,9 +155,7 @@ def max_cancellation(u: Word, v: Word) -> MaxCancellation:
     if not is_reduced(u) or not is_reduced(v):
         raise ValueError("max_cancellation needs reduced inputs")
     # both inputs reduced, so cancellation is confined to the junction
-    k = 0
-    while k < min(len(u), len(v)) and u.letters[len(u) - 1 - k] == v.letters[k].inverse():
-        k += 1
+    k = _agree(inverse(u).codes, 0, v.codes, 0, min(len(u), len(v)))
     return MaxCancellation(u[:len(u) - k], u[len(u) - k:], v[k:])
 
 
@@ -157,7 +194,8 @@ class _Survivors:
 
 def replay_trace(w: Word, trace: CancellationTrace) -> Word:
     """Apply the events in order, checking each one, and return the residual."""
-    n = len(w.letters)
+    codes = w.codes
+    n = len(codes)
     if trace.original_length != n:
         raise ValueError("trace expects length %d, word has length %d"
                          % (trace.original_length, n))
@@ -166,7 +204,7 @@ def replay_trace(w: Word, trace: CancellationTrace) -> Word:
     for idx, e in enumerate(trace.events):
         l, r = e.left_pos, e.right_pos
         ok = 0 <= l < r < n and alive[l] and alive[r] \
-            and w.letters[l] == w.letters[r].inverse()
+            and ord(codes[l]) ^ 1 == ord(codes[r])
         if ok and e.kind == "internal":
             ok = live.nxt[l] == r
         elif ok and e.kind == "external":
@@ -177,7 +215,7 @@ def replay_trace(w: Word, trace: CancellationTrace) -> Word:
             raise ValueError("invalid event %d: (%d, %d, %s)"
                              % (idx, e.left_pos, e.right_pos, e.kind))
         live.remove(l, r)
-    return Word(w.alphabet, tuple(w.letters[i] for i in range(n) if alive[i]))
+    return _word(w.alphabet, "".join(compress(codes, alive)))
 
 
 POLICIES = ("internal-first", "external-first-when-valid",
@@ -201,9 +239,9 @@ def cancel_any_order(w: Word, chooser: Union[str, int]):
         rng = random.Random(chooser)
     elif chooser not in POLICIES:
         raise ValueError("unknown policy %r" % (chooser,))
-    alive, events = _cancel(_code(w), chooser, rng)
-    out = Word(w.alphabet, tuple(l for l, a in zip(w.letters, alive) if a))
-    return out, CancellationTrace(len(w.letters), tuple(events))
+    alive, events = _cancel(list(map(ord, w.codes)), chooser, rng)
+    out = _word(w.alphabet, "".join(compress(w.codes, alive)))
+    return out, CancellationTrace(len(w), tuple(events))
 
 
 def _cancel(code, chooser, rng):

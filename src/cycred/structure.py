@@ -17,9 +17,11 @@ to free equality; the tests compare plain concatenations.
 
 from typing import NamedTuple, FrozenSet, Union
 
-from .words import Word, concat, cyclic_shift_between, inverse, is_cyclically_reduced, is_prefix, is_reduced, is_suffix
-from .reduction import (CancellationTrace, _rho, cyc_product, cyc_reduce,
-                        max_cancellation)
+from .words import (Word, _INVERSE, _agree, _word, concat,
+                    cyclic_shift_between, inverse, is_cyclically_reduced,
+                    is_prefix, is_reduced, is_suffix)
+from .reduction import (CancellationTrace, _decompose, _rho, cyc_product,
+                        cyc_reduce, max_cancellation)
 from .identities import (CollapsehInput, HElement, identity_from_equivalence)
 
 
@@ -90,21 +92,16 @@ class PuzoReport(NamedTuple):
 
 def _branch1(b, w):
     # longest power of w^-1 that is a literal suffix of b
-    wi = inverse(w)
+    wi = inverse(w).codes
     end = len(b)
     n = 0
-    while end >= len(w) and b.letters[end - len(w):end] == wi.letters:
+    while end >= len(w) and b.codes[end - len(w):end] == wi:
         n += 1
         end -= len(w)
-    rest = b.letters[:end]
+    rest = b.codes[:end]
     # longest prefix of w whose inverse is a suffix of what remains
-    k = 0
-    while k < min(len(w), len(rest)) and rest[len(rest) - 1 - k] == w.letters[k].inverse():
-        k += 1
-    w1 = Word(w.alphabet, w.letters[:k])
-    w2 = Word(w.alphabet, w.letters[k:])
-    b1 = Word(b.alphabet, rest[:len(rest) - k])
-    return ComplicWitness(w1, w2, b1, n, 1)
+    k = _agree(rest[::-1].translate(_INVERSE), 0, w.codes, 0, min(len(w), end))
+    return ComplicWitness(w[:k], w[k:], _word(b.alphabet, rest[:end - k]), n, 1)
 
 
 def _branch2(b, w):
@@ -119,7 +116,7 @@ def decompose_conjugate(b: Word, w: Word) -> ComplicWitness:
     """Factor rho(b w b^-1) as b1 w2 w1 b1^-1 exactly, where w = w1 w2 and
     either b = b1 w1^-1 (w^-1)^n (branch 1, w b^-1 reduced) or
     b = b1 w2 w^n (branch 2, b w reduced)."""
-    if not w.letters or not is_cyclically_reduced(w):
+    if not w or not is_cyclically_reduced(w):
         raise ValueError("w must be cyclically reduced and non-empty")
     if not is_reduced(b):
         raise ValueError("b must be reduced")
@@ -134,9 +131,9 @@ def classify_shirv(u: Word, v: Word) -> ShirvCase:
     equation of the returned record is an exact concatenation."""
     mc = max_cancellation(u, v)
     base = concat(mc.u1, mc.v1)
-    if not base.letters:
+    if not base:
         raise ValueError("the reduced product of u and v is trivial")
-    dec, _ = cyc_reduce(base)
+    dec = _decompose(base)
     t, m = dec.conjugator, dec.core
     if len(mc.u1) <= len(t):
         return ShirvCase1(mc.u1, mc.a, t[len(mc.u1):])

@@ -12,9 +12,10 @@ ASCII identifiers.
 Parse errors carry the byte offset of the offending character or token.
 """
 
+import re
 import string
 
-from .words import Alphabet, Letter, Word
+from .words import Alphabet, Word, _spaced, _word
 
 COMPACT_ALPHABET = Alphabet(*string.ascii_lowercase)
 
@@ -28,38 +29,33 @@ class WordSyntaxError(ValueError):
 
 
 def _compact_names(alphabet):
-    for name in alphabet.generators:
+    """The character of each letter code, for str.translate."""
+    spell = {}
+    for i, name in enumerate(alphabet.generators):
         if len(name) != 1 or name not in string.ascii_lowercase:
             raise ValueError(
                 "compact syntax needs single-character a-z generator names, got %r"
                 % (name,))
-    return {name: i for i, name in enumerate(alphabet.generators)}
+        spell[2 * i], spell[2 * i + 1] = name, name.upper()
+    return spell
 
 
 def parse_compact(text: str, alphabet: Alphabet = None) -> Word:
     if alphabet is None:
         alphabet = COMPACT_ALPHABET
-    index = _compact_names(alphabet)
+    index = {ord(ch): code for code, ch in _compact_names(alphabet).items()}
     if text == "1":
         return alphabet.empty()
     if not text:
         raise WordSyntaxError("empty input (write 1 for the empty word)", 0)
-    letters = []
-    for off, ch in enumerate(text):
-        low = ch.lower()
-        if ch not in string.ascii_letters or low not in index:
-            raise WordSyntaxError("unexpected character %r" % (ch,), off)
-        letters.append(Letter(index[low], 1 if ch.islower() else -1))
-    return Word(alphabet, letters)
+    if not index.keys() >= set(map(ord, text)):
+        off = next(i for i, ch in enumerate(text) if ord(ch) not in index)
+        raise WordSyntaxError("unexpected character %r" % (text[off],), off)
+    return _word(alphabet, text.translate(index))
 
 
 def format_compact(w: Word) -> str:
-    names = w.alphabet.generators
-    _compact_names(w.alphabet)
-    if not w.letters:
-        return "1"
-    return "".join(names[l.generator] if l.sign > 0 else names[l.generator].upper()
-                   for l in w.letters)
+    return w.codes.translate(_compact_names(w.alphabet)) or "1"
 
 
 def _spaced_names(alphabet):
@@ -75,37 +71,21 @@ def _spaced_names(alphabet):
 
 def parse_spaced(text: str, alphabet: Alphabet) -> Word:
     index = _spaced_names(alphabet)
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < n and not text[i].isspace():
-            i += 1
-        tokens.append((start, text[start:i]))
+    tokens = [(m.start(), m.group()) for m in re.finditer(r"\S+", text)]
     if not tokens:
         raise WordSyntaxError("empty input (write 1 for the empty word)", 0)
     if len(tokens) == 1 and tokens[0][1] == "1":
         return alphabet.empty()
-    letters = []
+    codes = []
     for off, tok in tokens:
-        sign = 1
-        name = tok
-        if tok.endswith("^-1"):
-            sign = -1
-            name = tok[:-3]
+        inv = tok.endswith("^-1")
+        name = tok[:-3] if inv else tok
         if name not in index:
             raise WordSyntaxError("unknown token %r" % (tok,), off)
-        letters.append(Letter(index[name], sign))
-    return Word(alphabet, letters)
+        codes.append(chr(2 * index[name] + inv))
+    return _word(alphabet, "".join(codes))
 
 
 def format_spaced(w: Word) -> str:
     _spaced_names(w.alphabet)
-    if not w.letters:
-        return "1"
-    names = w.alphabet.generators
-    return " ".join(names[l.generator] if l.sign > 0 else names[l.generator] + "^-1"
-                    for l in w.letters)
+    return _spaced(w) or "1"

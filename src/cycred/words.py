@@ -11,9 +11,21 @@ Letters of the same alphabet are ordered generator by generator with the
 positive sign first, so for an alphabet (x, y) the order is
 x < x^-1 < y < y^-1.  That order fixes canonical_rotation and every "least
 letter" tie-break used elsewhere.
+
+A Word is its alphabet and the str `codes`, one code point per letter:
+generator g with sign e is 2g + (e < 0), so code order is letter order, the
+inverse of code c is c ^ 1, and inverse, concat, rotate and slicing are str
+operations.  Letters are checked at the boundary (Word(...), Alphabet.word,
+the codecs of cycred.syntax), not when the library builds a word from codes
+it holds.  Generators from 27,648 up have surrogate codes, so encoding codes
+needs "surrogatepass".
 """
 
+import re
 from typing import NamedTuple, Optional
+
+# every letter is one code point, so an alphabet may use half the code space
+_MAX_GENERATORS = 0x110000 // 2
 
 
 class Letter(NamedTuple):
@@ -29,13 +41,35 @@ def letter_key(letter):
     return (letter.generator, 0 if letter.sign > 0 else 1)
 
 
+class _Table(dict):
+    """A dict that computes a missing value from its key, so str.translate
+    and map read it at C speed and it holds only the keys asked for."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+# code point -> code point of the inverse letter, for str.translate
+_INVERSE = _Table(lambda c: c ^ 1)
+# code -> its interned Letter
+_LETTER = _Table(lambda ch: Letter(ord(ch) >> 1, -1 if ord(ch) & 1 else 1))
+
+
 class Alphabet:
     """An ordered tuple of distinct generator names."""
 
     __slots__ = ("generators",)
 
     def __init__(self, *names):
-        names = tuple(names)
+        if len(names) > _MAX_GENERATORS:
+            raise ValueError("an alphabet holds at most %d generators, got %d"
+                             % (_MAX_GENERATORS, len(names)))
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names: %r" % (names,))
         for n in names:
@@ -70,18 +104,19 @@ class Alphabet:
     def word(self, items=()):
         """Build a word from Letters, (generator index, sign) pairs, or
         (name, sign) pairs; the three styles can be mixed."""
-        letters = []
+        n = len(self.generators)
+        codes = []
         for it in items:
-            if isinstance(it, Letter):
-                l = it
-            else:
-                head, sign = it
-                l = self.letter(head, sign) if isinstance(head, str) else Letter(head, sign)
-            letters.append(l)
-        return Word(self, tuple(letters))
+            g, s = it
+            if isinstance(g, str) and not isinstance(it, Letter):
+                g = self.letter(g, s).generator
+            if not (0 <= g < n and s in (1, -1)):
+                raise ValueError("letter %r outside alphabet" % (Letter(g, s),))
+            codes.append(chr(2 * g + (s < 0)))
+        return _word(self, "".join(codes))
 
     def empty(self):
-        return Word(self, ())
+        return _word(self, "")
 
 
 class Word:
@@ -89,104 +124,132 @@ class Word:
 
     No freeness assumption is made: a Word may contain adjacent mutually
     inverse letters.  Equality is letter for letter over equal alphabets.
+    The letters are held as `codes` (see above); `letters` spells them out.
     """
 
-    __slots__ = ("alphabet", "letters")
+    __slots__ = ("alphabet", "codes")
 
     def __init__(self, alphabet, letters):
         if not isinstance(alphabet, Alphabet):
             raise TypeError("alphabet must be an Alphabet")
         letters = tuple(letters)
-        n = len(alphabet.generators)
         for l in letters:
-            if not isinstance(l, Letter) or not (0 <= l.generator < n) or l.sign not in (1, -1):
+            if not isinstance(l, Letter):
                 raise ValueError("letter %r outside alphabet" % (l,))
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "codes", alphabet.word(letters).codes)
 
     def __setattr__(self, *_):
         raise AttributeError("Word is immutable")
 
+    @property
+    def letters(self):
+        """The letters, as interned Letters; O(len) on every access."""
+        return tuple(map(_LETTER.__getitem__, self.codes))
+
     def __eq__(self, other):
-        return (isinstance(other, Word) and self.alphabet == other.alphabet
-                and self.letters == other.letters)
+        return (isinstance(other, Word) and self.codes == other.codes
+                and (self.alphabet is other.alphabet
+                     or self.alphabet == other.alphabet))
 
     def __hash__(self):
-        return hash((self.alphabet, self.letters))
+        return hash((self.alphabet, self.codes))
 
     def __len__(self):
-        return len(self.letters)
+        return len(self.codes)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Word(self.alphabet, self.letters[i])
-        return self.letters[i]
+            return _word(self.alphabet, self.codes[i])
+        return _LETTER[self.codes[i]]
 
     def __iter__(self):
-        return iter(self.letters)
+        return map(_LETTER.__getitem__, self.codes)
 
     def __bool__(self):
-        return bool(self.letters)
+        return bool(self.codes)
 
     def __repr__(self):
-        if not self.letters:
-            return "<Word 1>"
-        toks = []
-        for l in self.letters:
-            name = self.alphabet.generators[l.generator]
-            toks.append(name if l.sign > 0 else name + "^-1")
-        return "<Word %s>" % " ".join(toks)
+        return "<Word %s>" % (_spaced(self) or "1")
+
+
+def _spaced(w):
+    """w's letters as space-separated tokens name and name^-1."""
+    names = w.alphabet.generators
+    return " ".join([names[c >> 1] + "^-1" if c & 1 else names[c >> 1]
+                     for c in map(ord, w.codes)])
+
+
+def _word(alphabet, codes):
+    """The Word over alphabet with the given codes, unchecked: the codes
+    must come from words over alphabet."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "alphabet", alphabet)
+    object.__setattr__(w, "codes", codes)
+    return w
+
+
+def _cancelling(codes):
+    """The ascending j >= 1 with codes[j] the inverse of codes[j - 1].
+    Inverse codes differ in their lowest bit alone, so the scan XORs the low
+    bytes of the codes, as one integer, with themselves shifted by one."""
+    low = codes.encode("utf-32-le", "surrogatepass")[::4]
+    flips = (int.from_bytes(low[1:], "little")
+             ^ int.from_bytes(low[:-1], "little")).to_bytes(len(low[1:]), "little")
+    return [m.end() for m in re.finditer(b"\x01", flips)
+            if ord(codes[m.start()]) ^ 1 == ord(codes[m.end()])]
+
+
+def _agree(s, i, t, j, m):
+    """The length of the longest common prefix of s[i:i + m] and
+    t[j:j + m], by bisection on slices."""
+    lo, hi = 0, m + 1  # equal on [0, lo), and unequal on [0, hi) if hi <= m
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if s[i + lo:i + mid] == t[j + lo:j + mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _same_alphabet(u, v):
-    if u.alphabet != v.alphabet:
+    if u.alphabet is not v.alphabet and u.alphabet != v.alphabet:
         raise ValueError("alphabet mismatch: %r vs %r" % (u.alphabet, v.alphabet))
 
 
 def concat(u: Word, v: Word) -> Word:
     _same_alphabet(u, v)
-    return Word(u.alphabet, u.letters + v.letters)
+    return _word(u.alphabet, u.codes + v.codes)
 
 
 def inverse(w: Word) -> Word:
-    return Word(w.alphabet, tuple(l.inverse() for l in reversed(w.letters)))
+    return _word(w.alphabet, w.codes[::-1].translate(_INVERSE))
 
 
 def reverse(w: Word) -> Word:
-    return Word(w.alphabet, tuple(reversed(w.letters)))
+    return _word(w.alphabet, w.codes[::-1])
 
 
 def rotate(w: Word, k: int) -> Word:
     """Cyclic left rotation: the first k mod len(w) letters move to the end."""
-    n = len(w.letters)
-    if n == 0:
-        return w
-    k %= n
-    return Word(w.alphabet, w.letters[k:] + w.letters[:k])
-
-
-def _code(w):
-    """w as a tuple of ints: 2*generator + (sign < 0), so integer order is
-    letter_key order and the inverse of a code c is c ^ 1.  The rotation
-    kernels here and in cycred.reduction, and the closure's inner loop, all
-    work on these codes."""
-    return tuple(2 * l.generator + (l.sign < 0) for l in w.letters)
+    c = w.codes
+    k %= len(c) or 1
+    return _word(w.alphabet, c[k:] + c[:k])
 
 
 def cyclic_shift_between(u: Word, v: Word) -> Optional[int]:
     """The least k >= 0 with rotate(u, k) == v, or None if no rotation works.
 
     One substring search of v in u u with its last letter dropped, on the
-    letter codes spelled as a str; the first hit is the least k.  CPython's
-    str.find guards long searches with the linear two-way algorithm, so the
-    cost is O(n)."""
+    codes; the first hit is the least k.  CPython's str.find guards long
+    searches with the linear two-way algorithm, so the cost is O(n)."""
     _same_alphabet(u, v)
     if len(u) != len(v):
         return None
     if len(u) == 0:
         return 0
-    su = "".join(map(chr, _code(u)))
-    k = (su + su[:-1]).find("".join(map(chr, _code(v))))
+    k = (u.codes + u.codes[:-1]).find(v.codes)
     return k if k >= 0 else None
 
 
@@ -195,14 +258,13 @@ def canonical_rotation(w: Word):
     it.  Constant on rotation classes, hence usable for deduplication.
 
     Two-pointer least-rotation scan (the Booth family; K. S. Booth, IPL
-    1980) over the letter codes, O(n): i and j are the surviving candidate
+    1980) over the codes, O(n): i and j are the surviving candidate
     starts, and a mismatch after k equal letters rules out the k + 1 starts
     beginning at the candidate with the larger letter.  No least start is
     ever ruled out, and every start below min(i, j) is, so min(i, j) is the
     least shift."""
-    c = _code(w)
-    n = len(c)
-    c += c
+    n = len(w.codes)
+    c = w.codes * 2
     i, j, k = 0, 1, 0
     while i < n and j < n and k < n:
         a, b = c[i + k], c[j + k]
@@ -221,36 +283,30 @@ def canonical_rotation(w: Word):
 
 
 def is_reduced(w: Word) -> bool:
-    ls = w.letters
-    return all(ls[i] != ls[i + 1].inverse() for i in range(len(ls) - 1))
+    return not _cancelling(w.codes)
 
 
 def is_cyclically_reduced(w: Word) -> bool:
     """Reduced, and the last letter is not the inverse of the first.  Words of
     length at most 1 are cyclically reduced."""
-    if not is_reduced(w):
-        return False
-    ls = w.letters
-    if len(ls) >= 2 and ls[-1] == ls[0].inverse():
-        return False
-    return True
+    c = w.codes
+    return is_reduced(w) and not (len(c) >= 2 and ord(c[-1]) ^ 1 == ord(c[0]))
 
 
 def is_prefix(p: Word, w: Word) -> bool:
     _same_alphabet(p, w)
-    return w.letters[:len(p.letters)] == p.letters
+    return w.codes.startswith(p.codes)
 
 
 def is_suffix(s: Word, w: Word) -> bool:
     _same_alphabet(s, w)
-    return len(s.letters) <= len(w.letters) and w.letters[len(w.letters) - len(s.letters):] == s.letters
+    return w.codes.endswith(s.codes)
 
 
 def is_subword(v: Word, w: Word) -> bool:
     """Factor containment: w == p v q for some p, q."""
     _same_alphabet(v, w)
-    n, m = len(w.letters), len(v.letters)
-    return any(w.letters[i:i + m] == v.letters for i in range(n - m + 1))
+    return v.codes in w.codes
 
 
 class LeviSplit(NamedTuple):
@@ -267,16 +323,15 @@ def levi_split(u1: Word, u2: Word, v1: Word, v2: Word) -> LeviSplit:
     """
     if concat(u1, u2) != concat(v1, v2):
         raise ValueError("levi_split requires concat(u1, u2) == concat(v1, v2)")
-    a = u1.alphabet
     if len(u1) > len(v1):
-        return LeviSplit("left", Word(a, u1.letters[len(v1.letters):]))
+        return LeviSplit("left", u1[len(v1):])
     if len(u1) < len(v1):
-        return LeviSplit("right", Word(a, v1.letters[len(u1.letters):]))
-    return LeviSplit("aligned", Word(a, ()))
+        return LeviSplit("right", v1[len(u1):])
+    return LeviSplit("aligned", u1[:0])
 
 
 def power(w: Word, n: int) -> Word:
     """w concatenated with itself n times; n < 0 uses the inverse."""
     if n < 0:
         return power(inverse(w), -n)
-    return Word(w.alphabet, w.letters * n)
+    return _word(w.alphabet, w.codes * n)

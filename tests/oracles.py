@@ -46,6 +46,22 @@ def naive_cyc_reduce(word):
     return tuple(w)
 
 
+def stack_events(word):
+    """The events of reducing with a letter-by-letter stack, then stripping
+    mutually inverse ends: (left, right, kind) triples, in order."""
+    stack, events = [], []
+    for pos, letter in enumerate(word):
+        if stack and word[stack[-1]] == inv(letter):
+            events.append((stack.pop(), pos, "internal"))
+        else:
+            stack.append(pos)
+    lo, hi = 0, len(stack)
+    while hi - lo >= 2 and word[stack[lo]] == inv(word[stack[hi - 1]]):
+        events.append((stack[lo], stack[hi - 1], "external"))
+        lo, hi = lo + 1, hi - 1
+    return events
+
+
 def naive_conjugator(word):
     """The prefix t with naive_reduce(word) == t + core + inverse(t)."""
     red = naive_reduce(word)

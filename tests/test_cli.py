@@ -336,6 +336,26 @@ def test_compact_rejects_names_it_cannot_spell(capsys, names, argv):
     assert out.out == "" and "single-character a-z" in out.err
 
 
+def test_closure_refuses_an_alphabet_it_cannot_save(tmp_path, capsys,
+                                                    monkeypatch):
+    """Closure files spell members in the compact syntax, so a spaced
+    alphabet of longer names exits 2 before anything is enumerated."""
+    def boom(*args):
+        raise AssertionError("the closure was enumerated")
+    monkeypatch.setattr(closure_mod, "run", boom)
+    rel = tmp_path / "rels.txt"
+    rel.write_text("alpha beta\nbeta\n")
+    out = tmp_path / "set.txt"
+    with pytest.raises(SystemExit) as e:
+        cli.main(["--syntax", "spaced", "--alphabet", "alpha,beta", "closure",
+                  "--relators", str(rel), "--maxlen", "3", "--rounds", "4",
+                  "--out", str(out)])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "single-character a-z" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [rel]
+
+
 def test_non_utf8_relators_exit_two(tmp_path, capsys):
     rel = tmp_path / "bad.txt"
     rel.write_bytes(b"xy\n\xff\xfe\n")

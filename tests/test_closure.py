@@ -413,8 +413,8 @@ def test_step_stops_on_a_full_sphere(monkeypatch, alphabet):
         del cores[:]
         s = cl.step(s)
     assert s.frontier and not s.saturated
-    # codes are 2 * generator + (sign < 0), see words._code
-    last = alphabet.word([(c >> 1, -1 if c & 1 else 1) for c in cores[-1]])
+    # codes are 2 * generator + (sign < 0), see cycred.words
+    last = alphabet.word([(c >> 1, -1 if c & 1 else 1) for c in map(ord, cores[-1])])
     assert canonical_rotation(last)[0] in s.frontier
     del cores[:]
     done = cl.step(s)
@@ -518,6 +518,35 @@ def test_provenance_witnesses_membership():
     for m, h in s.provenance.items():
         assert psi(h) == m
         assert all(r in sources for _, r in h.terms)
+
+
+def test_provenance_witnesses_membership_at_scale():
+    """Every one of the 550 members at maxlen 7, most of them far past what
+    the naive oracle can enumerate, is exactly psi of its provenance."""
+    rels = [W("xy", AB2), W("y", AB2)]
+    s = cl.run(cl.seed(rels, ClosureConfig(7, 64), track_provenance=True))
+    assert len(s.members) == 550 and set(s.provenance) == s.members
+    assert all(psi(h) == m for m, h in s.provenance.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(cyc_reduced_words(AB2, max_len=5), min_size=1, max_size=3),
+       st.integers(1, 5), st.integers(1, 4), st.booleans(), st.booleans(),
+       st.integers(0, 4))
+def test_save_load_round_trip_generated(rels, max_len, max_rounds, inverses,
+                                        canonical, steps):
+    s = cl.seed(rels, ClosureConfig(max_len, max_rounds, inverses, canonical))
+    for _ in range(steps):
+        if s.saturated or s.rounds_done >= max_rounds:
+            break
+        s = cl.step(s)
+    buf = io.StringIO()
+    cl.save(s, buf)
+    loaded = cl.load(io.StringIO(buf.getvalue()))
+    assert loaded == s._replace(provenance=None)
+    again = io.StringIO()
+    cl.save(loaded, again)
+    assert again.getvalue() == buf.getvalue()
 
 
 def test_provenance_dropped_by_save():

@@ -25,6 +25,38 @@ def test_reduce_fixtures():
     assert F(reduce(W("1"))[0]) == "1"
 
 
+def _nested(rng, k, depth):
+    """A word that cancels in long blocks at several depths: random words
+    with conjugated or adjacent inverse blocks wrapped around them."""
+    w = oracles.random_word(rng, k, rng.randint(0, 12))
+    for _ in range(depth):
+        t = oracles.random_word(rng, k, rng.randint(1, 40))
+        if rng.random() < 0.5:
+            w = t + w + oracles.inverse(t)
+        else:
+            w = w + t + oracles.inverse(t) + oracles.random_word(rng, k, 3)
+    return w
+
+
+def test_traces_match_a_letter_by_letter_stack():
+    """Short words reduce letter by letter and long ones run by run; both
+    cancel the same pairs in the same order as a plain stack."""
+    rng = random.Random(41)
+    for i in range(400):
+        k = (2, 4)[i % 2]
+        raw = _nested(rng, k, rng.randint(0, 6))
+        w = from_tuples(AB4, raw)
+        want = oracles.stack_events(raw)
+        red, trace = reduce(w)
+        assert [tuple(e) for e in trace.events] == \
+            [e for e in want if e[2] == "internal"]
+        assert to_tuples(red) == oracles.naive_reduce(raw)
+        dec, trace = cyc_reduce(w)
+        assert [tuple(e) for e in trace.events] == want
+        assert to_tuples(dec.core) == oracles.naive_cyc_reduce(raw)
+        assert to_tuples(dec.conjugator) == oracles.naive_conjugator(raw)
+
+
 def test_cyc_reduce_fixture():
     dec, trace = cyc_reduce(W("xyzxYX"))
     assert F(dec.core) == "zx"

@@ -1,7 +1,8 @@
 """The two word codecs and their error reporting."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycred import Alphabet
 from cycred.syntax import (COMPACT_ALPHABET, WordSyntaxError, format_compact,
@@ -82,3 +83,27 @@ def test_default_alphabet_is_full_lowercase():
     w = parse_compact("qwerty")
     assert w.alphabet == COMPACT_ALPHABET
     assert len(COMPACT_ALPHABET) == 26
+
+
+_IDENTIFIER = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+
+
+@st.composite
+def _spaced_words(draw):
+    """A word over an alphabet of 1-300 generators, a few of them drawn
+    identifiers and the rest numbered, so codes above 255 occur."""
+    size = draw(st.integers(1, 300))
+    drawn = draw(st.lists(_IDENTIFIER, max_size=min(size, 6), unique=True))
+    names = list(dict.fromkeys(drawn + ["g%d" % i for i in range(size)]))
+    ab = Alphabet(*names[:size])
+    letters = st.tuples(st.integers(0, size - 1), st.sampled_from((1, -1)))
+    return ab.word(draw(st.lists(letters, max_size=30)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spaced_words(), st.sampled_from([" ", "  ", "\n", " \t "]))
+def test_spaced_round_trip_over_generated_alphabets(w, sep):
+    text = format_spaced(w)
+    assert parse_spaced(text, w.alphabet) == w
+    assert parse_spaced(sep + sep.join(text.split()) + sep, w.alphabet) == w
+    assert format_spaced(parse_spaced(text, w.alphabet)) == text
