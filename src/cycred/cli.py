@@ -34,12 +34,19 @@ class _MalformedFile(Exception):
 
 class _Ctx:
     def __init__(self, syntax, alphabet):
+        self.syntax = syntax
         self.alphabet = alphabet
-        self._parse = parse_compact if syntax == "compact" else parse_spaced
-        self.fmt = format_compact if syntax == "compact" else format_spaced
 
     def parse(self, text, alphabet=None):
-        return self._parse(text, self.alphabet if alphabet is None else alphabet)
+        ab = alphabet if alphabet is not None else self.alphabet
+        if self.syntax == "compact":
+            return parse_compact(text, ab)
+        return parse_spaced(text, ab)
+
+    def fmt(self, w):
+        if self.syntax == "compact":
+            return format_compact(w)
+        return format_spaced(w)
 
 
 def _trace_doc(trace):
@@ -48,8 +55,10 @@ def _trace_doc(trace):
 
 
 def _trace_lines(trace):
-    return (["events: %d" % len(trace.events)]
-            + ["  cancel %d %d (%s)" % e for e in trace.events])
+    out = ["events: %d" % len(trace.events)]
+    for e in trace.events:
+        out.append("  cancel %d %d (%s)" % (e.left_pos, e.right_pos, e.kind))
+    return out
 
 
 def _identity_doc(ctx, h):
@@ -77,10 +86,17 @@ def _cmd_cycreduce(ctx, args):
 
 
 def _cmd_prod(ctx, args):
-    """prod and cprod: the reduced or the cyclically reduced product."""
     u, v = ctx.parse(args.u), ctx.parse(args.v)
-    p = (reduced_product if args.command == "prod" else cyc_product)(u, v)
-    doc = {"command": args.command, "u": ctx.fmt(u), "v": ctx.fmt(v),
+    p = reduced_product(u, v)
+    doc = {"command": "prod", "u": ctx.fmt(u), "v": ctx.fmt(v),
+           "product": ctx.fmt(p)}
+    return doc, [ctx.fmt(p)], 0
+
+
+def _cmd_cprod(ctx, args):
+    u, v = ctx.parse(args.u), ctx.parse(args.v)
+    p = cyc_product(u, v)
+    doc = {"command": "cprod", "u": ctx.fmt(u), "v": ctx.fmt(v),
            "product": ctx.fmt(p)}
     return doc, [ctx.fmt(p)], 0
 
@@ -211,8 +227,12 @@ def _read_relators(ctx, path):
             lines = list(f)
     except UnicodeDecodeError as exc:
         raise _MalformedFile(exc) from None
-    return [ctx.parse(ln) for ln in map(str.strip, lines)
-            if ln and not ln.startswith("#")]
+    out = []
+    for ln in lines:
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
+            out.append(ctx.parse(ln))
+    return out
 
 
 def _cmd_closure(ctx, args):
@@ -247,7 +267,7 @@ def _cmd_closure_query(ctx, args):
 
 
 _HANDLERS = {"reduce": _cmd_reduce, "cycreduce": _cmd_cycreduce,
-             "prod": _cmd_prod, "cprod": _cmd_prod,
+             "prod": _cmd_prod, "cprod": _cmd_cprod,
              "classify": _cmd_classify, "puzo": _cmd_puzo,
              "anyorder": _cmd_anyorder, "latin": _cmd_latin,
              "collapse": _cmd_collapse, "closure": _cmd_closure,
@@ -269,33 +289,42 @@ def build_parser():
                    help="emit one machine-readable document")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, help, *positionals):
-        sp = sub.add_parser(name, help=help)
-        for arg in positionals:
-            sp.add_argument(arg)
-        return sp
-    command("reduce", "reduced form with its trace", "word")
-    command("cycreduce", "cyclically reduced form, conjugator, trace", "word")
-    command("prod", "reduced product of two words", "u", "v")
-    command("cprod", "cyclically reduced product of two words", "u", "v")
-    command("classify", "cancellation case of a product, with witness", "u", "v")
-    command("puzo", "rotation report for u*v vs v*u", "u", "v")
-    g = command("anyorder", "free cancellation in a chosen order",
-                "word").add_mutually_exclusive_group()
+    sp = sub.add_parser("reduce", help="reduced form with its trace")
+    sp.add_argument("word")
+    sp = sub.add_parser("cycreduce", help="cyclically reduced form, conjugator, trace")
+    sp.add_argument("word")
+    sp = sub.add_parser("prod", help="reduced product of two words")
+    sp.add_argument("u")
+    sp.add_argument("v")
+    sp = sub.add_parser("cprod", help="cyclically reduced product of two words")
+    sp.add_argument("u")
+    sp.add_argument("v")
+    sp = sub.add_parser("classify", help="cancellation case of a product, with witness")
+    sp.add_argument("u")
+    sp.add_argument("v")
+    sp = sub.add_parser("puzo", help="rotation report for u*v vs v*u")
+    sp.add_argument("u")
+    sp.add_argument("v")
+    sp = sub.add_parser("anyorder", help="free cancellation in a chosen order")
+    sp.add_argument("word")
+    g = sp.add_mutually_exclusive_group()
     g.add_argument("--policy", choices=POLICIES)
     g.add_argument("--seed", type=int)
-    command("latin", "stabilized product family solving u*v = w-core",
-            "u", "w").add_argument("--count", type=int, default=1)
-    command("collapse", "apply an operation list to an element"
-            ).add_argument("--file", required=True)
-    sp = command("closure", "enumerate the product-and-rotation closure")
+    sp = sub.add_parser("latin", help="stabilized product family solving u*v = w-core")
+    sp.add_argument("u")
+    sp.add_argument("w")
+    sp.add_argument("--count", type=int, default=1)
+    sp = sub.add_parser("collapse", help="apply an operation list to an element")
+    sp.add_argument("--file", required=True)
+    sp = sub.add_parser("closure", help="enumerate the product-and-rotation closure")
     sp.add_argument("--relators", required=True)
     sp.add_argument("--maxlen", type=int, required=True)
     sp.add_argument("--rounds", type=int, required=True)
     sp.add_argument("--no-inverses", action="store_true")
     sp.add_argument("--out", required=True)
-    command("closure-query", "membership in a saved closure set",
-            "word").add_argument("--set", required=True)
+    sp = sub.add_parser("closure-query", help="membership in a saved closure set")
+    sp.add_argument("--set", required=True)
+    sp.add_argument("word")
     return p
 
 

@@ -10,50 +10,70 @@ canonical rotation per class, otherwise every rotation is materialized.  The
 empty word is never stored.
 
 Rounds use semi-naive evaluation: a step multiplies pairs of members with
-at least one factor in the frontier (the words added by the previous round),
-and under canonical dedup it expands each pair to all rotation pairs, since
-the product depends on the rotations multiplied.  Each pair is multiplied
-once, as (x, y) with x <= y in length-then-letter order: uv and vu are
-conjugate, by u, so rho_hat(uv) and rho_hat(vu) are rotations of each other,
-and a member set closed under rotation gains the same words from either.
+at least one factor in the frontier (the words added by the previous round).
+Under canonical dedup a class stands for all its rotations, and the product
+depends on the actual rotations multiplied, not just their classes, so a
+step expands each pair to all rotation pairs.
 
-Members are cyclically reduced, so in a product x_i y_j of rotations of x
-and y cancellation begins at the junction and goes on around the ends.  The
-K letters of x that cancel against y that way form a cyclic factor of x
-straddling the cut point i whose inverse is a cyclic factor of y straddling
+Each pair is multiplied once, as (x, y) with x <= y in length-then-letter
+order.  That loses nothing: uv and vu are conjugate, by u, so rho_hat(uv)
+and rho_hat(vu) are rotations of each other, and a member set closed under
+rotation (materialized, or a class per canonical rep) gains the same words
+from either order.  The cap check and the stored reps are therefore the
+same for both orders in both dedup modes.
+
+Members are cyclically reduced, and so is each rotation, so in a product
+x_i y_j of rotations of x and y cancellation begins at the junction (the
+last letters of x_i against the first of y_j) and goes on around the ends
+(the first letters of x_i against the last of y_j).  The K letters of x
+that cancel against y that way form a cyclic factor of x straddling the cut
+point i, and their inverse is a cyclic factor of y straddling the cut point
 j: a piece, in small-cancellation terms (R. C. Lyndon and P. E. Schupp,
 Combinatorial Group Theory, 1977, ch. V).  If neither factor cancels
-completely, rho_hat(x_i y_j) has |x| + |y| - 2K letters; if one does, at
-most max(|x|, |y|) - min(|x|, |y|), and K = min(|x|, |y|).  So when
-|x| + |y| > max_len, a product within the cap has K >= c =
-ceil((|x| + |y| - max_len) / 2), and a length-c window of the piece is a
-cyclic factor of x at some p whose inverse occurs in y at some q, with
-(i, j) = (p + k, q + c - k) for a split k in 0..c.  Conversely, at every cut
-pair such a window names the product is within the cap.  A long pair is
-therefore multiplied only at cut pairs this join on pieces names, of which
-only the least per window (see _cuts), and no over-cap product is ever
-computed; a pair within the cap is scanned in full.  Under materialized
-dedup only the cut pair (0, 0) is multiplied.
+completely, rho_hat(x_i y_j) has |x| + |y| - 2K letters.  If one does, it
+has at most max(|x|, |y|) - min(|x|, |y|) letters, and K = min(|x|, |y|).
 
-The inner loop works on the members' codes (see cycred.words) and keeps
-every rotation of every member, so a product is a duplicate exactly when
-its core is already known.  Only an admitted product is rebuilt as a Word,
-and only then does it get its provenance.  Member pairs, and the cut pairs
-within each, are visited in sorted order and a product is admitted as soon
-as it is computed, so provenance never depends on set iteration order.
+So when |x| + |y| > max_len, set c = ceil((|x| + |y| - max_len) / 2).  A
+product within the cap has K >= c: with no complete cancellation that is
+the length count, and otherwise K = min(|x|, |y|) >= c because neither
+|x| nor |y| exceeds max_len.  Then a length-c window of the piece is a
+cyclic factor of x at some p whose inverse occurs in y at some q, and
+(i, j) = (p + k, q + c - k) for a split k in 0..c.  Conversely, at every cut
+pair such a window names, c letters of x cancel against y, or one factor
+cancels completely, so the product is within the cap.  A long pair is
+therefore multiplied only at cut pairs this join on pieces names, and no
+over-cap product is ever computed; a pair within the cap is scanned in
+full.  Of the c + 1 cut pairs one window names, only the least is
+multiplied: the others give rotations of its core (see _cuts), so they
+could only be duplicates.  Under materialized dedup only the cut pair
+(0, 0) is multiplied, and the join reduces to the c + 1 splits straddling
+it.
+
+The inner loop works on the members' code strings (see cycred.words) and
+keeps every rotation of every member, so a product is a duplicate exactly
+when its core is already known.  Only an admitted product is rebuilt as a
+Word, through the traceless cyclic reduction and the stored-rep rules, and
+only then does it get its provenance.  Member pairs, and the cut pairs
+within each, are visited in sorted order and every product is admitted as
+soon as it is computed, so which derivation of a word comes first, and with
+it its provenance, never depends on set iteration order.
 
 A round stops as soon as the members fill the sphere: every cyclically
 reduced word of length 1..max_len over the k generators that occur in the
-members (one canonical rotation per class under canonical dedup).  Products
-and rotations add no letter, so the members lie in that sphere, and once
-their count equals its size every product left is a duplicate.  A set that
-is full when a step starts returns at once, empty frontier and saturated.
-The count is checked only after an admission, so a set that never fills,
-such as that of a presentation of a nontrivial group, pays nothing for it.
-Over k generators c(d) = (2k - 1)^d + 1 + (k - 1)(1 + (-1)^d) words of
-length d are cyclically reduced, and by Burnside's lemma the rotation
-classes of length n number (1/n) sum_{t < n} c(gcd(n, t)), since a rotation
-by t fixes exactly the words of period gcd(n, t).
+members (the canonical rotation of every such word under canonical dedup).
+Products and rotations add no letter, so the members always lie in that
+sphere, and once their count equals its size they are all of it: every
+product left is a duplicate, and stopping loses nothing, not even a
+witness.  A set that is full when a step starts returns at once, with an
+empty frontier and saturated.  The count is checked only after an
+admission, so a set that never fills, such as that of a presentation of a
+nontrivial group, pays nothing for it.  Over k generators
+
+    c(d) = (2k - 1)^d + 1 + (k - 1)(1 + (-1)^d)
+
+words of length d are cyclically reduced, and by Burnside's lemma the
+rotation classes of length n number (1/n) sum_{t < n} c(gcd(n, t)), since a
+rotation by t fixes exactly the words of period gcd(n, t).
 
 With track_provenance, every member carries a sequence of conjugated seed
 relators whose product reduces to exactly that member; it is dropped by
@@ -208,18 +228,24 @@ def _cuts(x, y, c, every_shift, windows):
     rotation j of y give, up to rotation, every such product in which at
     least c letters of x cancel against y.
 
-    x and y are step's per-member records (rotations, codes of the inverse
-    doubled, codes doubled).  With every_shift, i and j run over the least
-    shifts of the distinct rotations.  A length-c cyclic factor of x at p
-    whose inverse occurs in y at q names, for each split k in 0..c, the cut
-    pair (p + k, q + c - k): k letters of the factor cancel at the junction
-    and c - k around the ends.  Only the least of those c + 1 cut pairs is
-    returned: going from (i, j) to (i - 1, j + 1) conjugates the product by
-    a letter of the factor, so the others give rotations of its core.
+    x and y are step's per-member records (rotations, codes of the
+    inverse doubled, codes doubled).  With every_shift, i and j run over
+    the least shifts of the distinct rotations.  A length-c cyclic factor of
+    x at p whose inverse occurs in y at q names, for each split k in 0..c,
+    the cut pair (p + k, q + c - k): the last k letters of the factor end
+    rotation i and cancel the first k letters of rotation j at the junction,
+    and its first c - k letters start rotation i and cancel the last c - k of
+    rotation j around the ends.  Only the least of those c + 1 cut pairs is
+    returned.  Going from (i, j) to (i - 1, j + 1) moves a letter a of the
+    factor from the end of rotation i to its start and a^-1 from the start
+    of rotation j to its end, which conjugates the product by a.  So the
+    other splits give rotations of the least one's core: trivial when it
+    is, and otherwise known to the caller once it has multiplied the least.
     windows maps c to the inverted length-c factors of x; it is filled here
-    and kept by the caller for as long as x stays the same.  Without
-    every_shift only (0, 0) is asked about, and the splits straddling both
-    cut points 0 are checked letter by letter.
+    and kept by the caller for as long as x stays the same.
+
+    Without every_shift only (0, 0) is asked about, and the splits straddling
+    both cut points 0 are checked letter by letter.
     """
     xrots, xinv, _ = x
     yrots, _, ys = y

@@ -43,7 +43,8 @@ class HElement:
     def __init__(self, terms=(), alphabet=None):
         norm = []
         for a, r in terms:
-            a, r = _rho(a), _rho(r)
+            a = _rho(a)
+            r = _rho(r)
             if a.alphabet != r.alphabet:
                 raise ValueError("alphabet mismatch inside a term")
             if alphabet is None:

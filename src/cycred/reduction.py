@@ -22,14 +22,10 @@ rho_hat(w), which the arbitrary-order tests exercise heavily.
 """
 
 import random
-from itertools import chain, compress, starmap
+from itertools import compress
 from typing import NamedTuple, Tuple, Union
 
-from .words import (_INVERSE, Word, _agree, _cancelling, _word, concat,
-                    inverse, is_reduced)
-
-# below this many letters, reducing letter by letter beats slicing
-_SHORT = 48
+from .words import _INVERSE, Word, _agree, _word, concat, inverse, is_reduced
 
 
 class CancellationEvent(NamedTuple):
@@ -55,61 +51,36 @@ class MaxCancellation(NamedTuple):
 
 
 def _reduce(codes, events=None):
-    """The positions of codes that survive free reduction, as ascending
-    spans (start, end), from a stack that a letter cancels the top of when
-    it is its inverse; given a list, appends one internal event per pair.
-    Beyond a few letters the stack holds spans: the codes between cancelling
-    neighbours (words._cancelling) run reduced, so a run cancels only its
-    head against the stack, as far as _agree finds the stack's inverse."""
-    n = len(codes)
-    if n < _SHORT:
-        inv = codes.translate(_INVERSE)
-        stack = []
-        for pos, c in enumerate(codes):
-            if stack and inv[stack[-1]] == c:
-                l = stack.pop()
-                if events is not None:
-                    events.append(CancellationEvent(l, pos, "internal"))
-            else:
-                stack.append(pos)
-        return [(p, p + 1) for p in stack]
-    rev = codes[::-1].translate(_INVERSE)  # rev[n - 1 - p] inverts codes[p]
-    spans = []
-    start = 0
-    for end in _cancelling(codes) + [n]:
-        while spans and start < end:
-            a, b = spans[-1]
-            k = _agree(rev, n - b, codes, start, min(b - a, end - start))
-            if k and events is not None:
-                events += [CancellationEvent(b - 1 - t, start + t, "internal")
-                           for t in range(k)]
-            start += k
-            if k < b - a:
-                spans[-1] = (a, b - k)
-                break
-            spans.pop()
-        if start < end:
-            spans.append((start, end))
-        start = end
-    return spans
+    """The positions of codes that survive free reduction, in order: a letter
+    cancels the top of a stack of positions when it is its inverse.  Given a
+    list, appends one internal event per cancelled pair."""
+    inv = codes.translate(_INVERSE)
+    stack = []
+    for pos, c in enumerate(codes):
+        if stack and inv[stack[-1]] == c:
+            l = stack.pop()
+            if events is not None:
+                events.append(CancellationEvent(l, pos, "internal"))
+        else:
+            stack.append(pos)
+    return stack
 
 
-def _join(codes, spans):
-    return "".join([codes[a:b] for a, b in spans])
+def _join(codes, keep):
+    return "".join([codes[p] for p in keep])
 
 
 def _cyc(codes, events=None):
     """The conjugator and the core of codes, as codes; given a list,
     appends _reduce's events and one external event per pair of ends
     stripped."""
-    spans = _reduce(codes, events)
-    red = _join(codes, spans)
+    keep = _reduce(codes, events)
+    red = _join(codes, keep)
     n = len(red)
     # a reduced word never cancels its middle, so k < n / 2
     k = _agree(red, 0, red[::-1].translate(_INVERSE), 0, n // 2)
     if k and events is not None:
-        pos = list(chain.from_iterable(starmap(range, spans)))
-        events += [CancellationEvent(pos[i], pos[n - 1 - i], "external")
+        events += [CancellationEvent(keep[i], keep[n - 1 - i], "external")
                    for i in range(k)]
     return red[:k], red[k:n - k]
 

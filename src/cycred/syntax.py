@@ -12,7 +12,6 @@ ASCII identifiers.
 Parse errors carry the byte offset of the offending character or token.
 """
 
-import re
 import string
 
 from .words import Alphabet, Word, _spaced, _word
@@ -71,15 +70,27 @@ def _spaced_names(alphabet):
 
 def parse_spaced(text: str, alphabet: Alphabet) -> Word:
     index = _spaced_names(alphabet)
-    tokens = [(m.start(), m.group()) for m in re.finditer(r"\S+", text)]
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        start = i
+        while i < n and not text[i].isspace():
+            i += 1
+        tokens.append((start, text[start:i]))
     if not tokens:
         raise WordSyntaxError("empty input (write 1 for the empty word)", 0)
     if len(tokens) == 1 and tokens[0][1] == "1":
         return alphabet.empty()
     codes = []
     for off, tok in tokens:
-        inv = tok.endswith("^-1")
-        name = tok[:-3] if inv else tok
+        inv = 0
+        name = tok
+        if tok.endswith("^-1"):
+            inv = 1
+            name = tok[:-3]
         if name not in index:
             raise WordSyntaxError("unknown token %r" % (tok,), off)
         codes.append(chr(2 * index[name] + inv))

@@ -189,17 +189,6 @@ def _word(alphabet, codes):
     return w
 
 
-def _cancelling(codes):
-    """The ascending j >= 1 with codes[j] the inverse of codes[j - 1].
-    Inverse codes differ in their lowest bit alone, so the scan XORs the low
-    bytes of the codes, as one integer, with themselves shifted by one."""
-    low = codes.encode("utf-32-le", "surrogatepass")[::4]
-    flips = (int.from_bytes(low[1:], "little")
-             ^ int.from_bytes(low[:-1], "little")).to_bytes(len(low[1:]), "little")
-    return [m.end() for m in re.finditer(b"\x01", flips)
-            if ord(codes[m.start()]) ^ 1 == ord(codes[m.end()])]
-
-
 def _agree(s, i, t, j, m):
     """The length of the longest common prefix of s[i:i + m] and
     t[j:j + m], by bisection on slices."""
@@ -283,7 +272,15 @@ def canonical_rotation(w: Word):
 
 
 def is_reduced(w: Word) -> bool:
-    return not _cancelling(w.codes)
+    """No letter is followed by its inverse.  Inverse codes differ in their
+    lowest bit alone, so the scan XORs the low bytes of the codes, as one
+    integer, with themselves shifted by one, and checks each hit exactly."""
+    c = w.codes
+    low = c.encode("utf-32-le", "surrogatepass")[::4]
+    flips = (int.from_bytes(low[1:], "little")
+             ^ int.from_bytes(low[:-1], "little")).to_bytes(len(low[1:]), "little")
+    return not any(ord(c[m.start()]) ^ 1 == ord(c[m.end()])
+                   for m in re.finditer(b"\x01", flips))
 
 
 def is_cyclically_reduced(w: Word) -> bool:

@@ -39,8 +39,8 @@ def _nested(rng, k, depth):
 
 
 def test_traces_match_a_letter_by_letter_stack():
-    """Short words reduce letter by letter and long ones run by run; both
-    cancel the same pairs in the same order as a plain stack."""
+    """Words of up to about 500 letters with nested cancellation: reduce and
+    cyc_reduce cancel the same pairs in the same order as a plain stack."""
     rng = random.Random(41)
     for i in range(400):
         k = (2, 4)[i % 2]
